@@ -226,10 +226,14 @@ YuvImage YuvTranslationLayer::Translate(std::span<const uint8_t> indices, int32_
                                         int32_t h) const {
   SLIM_CHECK(indices.size() >= static_cast<size_t>(w) * h);
   YuvImage out(w, h);
-  for (int32_t y = 0; y < h; ++y) {
-    for (int32_t x = 0; x < w; ++x) {
-      out.Set(x, y, lut_[indices[static_cast<size_t>(y) * w + x]]);
-    }
+  const std::span<uint8_t> ys = out.mutable_y_plane();
+  const std::span<uint8_t> us = out.mutable_u_plane();
+  const std::span<uint8_t> vs = out.mutable_v_plane();
+  for (size_t i = 0; i < ys.size(); ++i) {
+    const Yuv& c = lut_[indices[i]];
+    ys[i] = c.y;
+    us[i] = c.u;
+    vs[i] = c.v;
   }
   return out;
 }

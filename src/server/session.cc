@@ -300,10 +300,9 @@ void ServerSession::SendVideoFrame(const YuvImage& frame, const Rect& dst, CscsD
 
 void ServerSession::TransmitVideoFrame(CscsCommand cmd) {
   const SimTime now = server_->simulator()->now();
-  // Keep the server's true framebuffer in sync with what the console will display.
-  fb_.SetPixels(cmd.dst, YuvToRgbScaled(UnpackCscsPayload(cmd.payload, cmd.src_w, cmd.src_h,
-                                                          cmd.depth),
-                                        cmd.dst.w, cmd.dst.h));
+  // Keep the server's true framebuffer in sync with what the console will display: the
+  // same decode of the same bytes.
+  DecodeCscsToRgb(cmd.payload, cmd.src_w, cmd.src_h, cmd.depth, cmd.dst, &fb_);
   damage_.Subtract(cmd.dst);
   log_.RecordXRequest(now, XVideoFrameBytes(cmd.dst.w, cmd.dst.h));
   if (tracker_ != nullptr) {

@@ -31,6 +31,9 @@ class SyntheticVideoSource {
   YuvImage Field(int index, bool odd) const;
 
  private:
+  // Renders `rows` rows of frame `index`: source rows first, first + step, ... .
+  YuvImage Render(int index, int32_t first, int32_t step, int32_t rows) const;
+
   int32_t width_;
   int32_t height_;
   uint64_t seed_;

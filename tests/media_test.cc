@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <set>
 
 #include "src/console/console.h"
@@ -13,6 +15,104 @@
 
 namespace slim {
 namespace {
+
+// SyntheticVideoSource::Frame/Field as the library shipped them before the hoisted row
+// renderer, kept verbatim (as free functions) as the oracle it must match bit for bit.
+namespace reference {
+
+YuvImage Frame(int32_t width_, int32_t height_, uint64_t seed_, int index) {
+  YuvImage frame(width_, height_);
+  const double t = index * 0.12;
+  const double pan_x = 40.0 * std::sin(t * 0.35);
+  const double pan_y = 24.0 * std::cos(t * 0.21);
+  const double ox1 = width_ * (0.5 + 0.3 * std::sin(t));
+  const double oy1 = height_ * (0.5 + 0.3 * std::cos(t * 1.3));
+  const double ox2 = width_ * (0.5 + 0.35 * std::cos(t * 0.7));
+  const double oy2 = height_ * (0.5 + 0.25 * std::sin(t * 0.9));
+  Rng grain(seed_ ^ (static_cast<uint64_t>(index) * 0x9e3779b97f4a7c15ull));
+  for (int32_t y = 0; y < height_; ++y) {
+    for (int32_t x = 0; x < width_; ++x) {
+      const double gx = (x + pan_x) * 0.02;
+      const double gy = (y + pan_y) * 0.02;
+      double luma = 110.0 + 70.0 * std::sin(gx) * std::cos(gy * 1.4);
+      double u = 128.0 + 30.0 * std::sin(gx * 0.5 + t);
+      double v = 128.0 + 30.0 * std::cos(gy * 0.5 - t);
+      const double d1 = std::hypot(x - ox1, y - oy1);
+      if (d1 < 40.0) {
+        luma = 220.0 - d1;
+        u = 90.0;
+        v = 170.0;
+      }
+      const double d2 = std::hypot(x - ox2, y - oy2);
+      if (d2 < 28.0) {
+        luma = 60.0 + d2;
+        u = 170.0;
+        v = 90.0;
+      }
+      luma += (grain.NextDouble() - 0.5) * 10.0;
+      frame.Set(x, y,
+                Yuv{static_cast<uint8_t>(std::clamp(luma, 0.0, 255.0)),
+                    static_cast<uint8_t>(std::clamp(u, 0.0, 255.0)),
+                    static_cast<uint8_t>(std::clamp(v, 0.0, 255.0))});
+    }
+  }
+  return frame;
+}
+
+YuvImage Field(int32_t width_, int32_t height_, uint64_t seed_, int index, bool odd) {
+  const YuvImage full = Frame(width_, height_, seed_, index);
+  YuvImage field(width_, std::max(1, height_ / 2));
+  for (int32_t y = 0; y < field.height(); ++y) {
+    const int32_t src_y = std::min(height_ - 1, y * 2 + (odd ? 1 : 0));
+    for (int32_t x = 0; x < width_; ++x) {
+      field.Set(x, y, full.At(x, src_y));
+    }
+  }
+  return field;
+}
+
+}  // namespace reference
+
+void ExpectSameImage(const YuvImage& got, const YuvImage& want) {
+  ASSERT_EQ(got.width(), want.width());
+  ASSERT_EQ(got.height(), want.height());
+  EXPECT_TRUE(std::ranges::equal(got.y_plane(), want.y_plane()));
+  EXPECT_TRUE(std::ranges::equal(got.u_plane(), want.u_plane()));
+  EXPECT_TRUE(std::ranges::equal(got.v_plane(), want.v_plane()));
+}
+
+TEST(VideoSourceParityTest, FramesAndFieldsMatchReference) {
+  // Sizes from the real streams down to ones where the discs cover or overhang the whole
+  // picture; odd heights and 1-pixel edges exercise the field row mapping.
+  const std::pair<int32_t, int32_t> kSizes[] = {{160, 120}, {67, 45}, {97, 1}, {1, 7}, {2, 3}};
+  for (const uint64_t seed : {1ull, 42ull, 0x5eedull}) {
+    for (const auto& [w, h] : kSizes) {
+      const SyntheticVideoSource source(w, h, seed);
+      for (int index = 0; index < 40; ++index) {
+        SCOPED_TRACE(testing::Message() << w << "x" << h << " seed " << seed << " frame "
+                                        << index);
+        ExpectSameImage(source.Frame(index), reference::Frame(w, h, seed, index));
+        for (const bool odd : {false, true}) {
+          ExpectSameImage(source.Field(index, odd), reference::Field(w, h, seed, index, odd));
+        }
+      }
+    }
+  }
+}
+
+TEST(VideoSourceParityTest, VideoSizedFramesMatchReference) {
+  // Section 7's 720x480 MPEG and 640x480 streams, where the discs' bounding boxes are a
+  // small part of the picture.
+  for (const auto& [w, h] : {std::pair{720, 480}, std::pair{640, 480}}) {
+    const SyntheticVideoSource source(w, h, 9);
+    for (const int index : {0, 7, 23, 39}) {
+      SCOPED_TRACE(testing::Message() << w << "x" << h << " frame " << index);
+      ExpectSameImage(source.Frame(index), reference::Frame(w, h, 9, index));
+      ExpectSameImage(source.Field(index, index % 2 == 1),
+                      reference::Field(w, h, 9, index, index % 2 == 1));
+    }
+  }
+}
 
 TEST(VideoSourceTest, FramesAreDeterministicAndMoving) {
   SyntheticVideoSource source(64, 48, 42);
