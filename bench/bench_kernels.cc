@@ -1,20 +1,22 @@
-// Throughput of each pixel kernel (src/codec/kernels/) per dispatch tier, plus the
-// deterministic cross-tier parity checksums the bench_diff gate pins.
+// Throughput of the per-row pixel loops (src/codec/row_ops.h, src/codec/row_hash.h and
+// RgbToYuv), plus the deterministic parity checksums the bench_diff gate pins.
 //
-// For every kernel in KernelOps and every tier this machine can execute, a pass
-// processes SLIM_KB_ROWS rows of SLIM_KB_WIDTH pixels (best of SLIM_KB_REPS reps) and
-// reports GB/s of input pixels consumed plus the speedup over the scalar reference.
-// Content is chosen per kernel so no early-exit shortcuts the work: bicolor rows for
-// the two-color scan and bit-packer (the full-row "is this text?" worst case), equal
-// rows for the diff kernel (the dominant refinement case — rows whose full hash
-// collided but must be confirmed), random 24-bit pixels for the hash and YUV kernels.
+// Each loop processes SLIM_KB_ROWS rows of SLIM_KB_WIDTH pixels (best of SLIM_KB_REPS
+// reps) and reports GB/s of input pixels consumed. The scalar body is always timed; on
+// targets with SSE2, ScanColors and PackBitmapRow are also timed through their vector
+// body, with the speedup over scalar that justifies keeping it. Content is chosen per
+// loop so no early exit shortcuts the work: bicolor rows for the two-color scan and
+// bit-packer (the full-row "is this text?" worst case), equal rows for the diff (the
+// dominant refinement case — rows whose full hash collided but must be confirmed),
+// random 24-bit pixels for the hash and YUV conversion. One more row times a 640x480
+// raycast frame (the Quake case study's renderer), in GB/s of indexed pixels written.
 //
 // The timing numbers are machine-dependent and excluded from the bench_diff gate
-// (bench_diff_smoke_kernels skips "gbps"/"speedup"/"tiers"); what the committed
-// baseline pins are the parity.<kernel>.checksum metrics — 32-bit folds of each
-// kernel's outputs over a fixed pseudo-random input set, CHECKed identical across
-// every available tier here and compared against the baseline by ctest. A kernel
-// change that alters output on any machine moves the checksum and fails the gate.
+// (bench_diff_smoke_kernels skips "gbps"/"speedup"); what the committed baseline pins
+// are the parity.<loop>.checksum metrics — 32-bit folds of each loop's outputs over a
+// fixed pseudo-random input set, CHECKed identical between the vector and scalar bodies
+// here and compared against the baseline by ctest. A change that alters output on any
+// target moves the checksum and fails the gate.
 //
 // Knobs: SLIM_KB_WIDTH (default 1280), SLIM_KB_ROWS (default 2048), SLIM_KB_REPS
 // (default 9).
@@ -23,32 +25,41 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
-#include "src/codec/kernels/kernels.h"
+#include "src/codec/row_hash.h"
+#include "src/codec/row_ops.h"
+#include "src/color/yuv.h"
 #include "src/obs/bench_report.h"
 #include "src/obs/trace.h"
+#include "src/quake/raycaster.h"
 #include "src/util/check.h"
 #include "src/util/rng.h"
 
 namespace slim {
 namespace {
 
-double MillisSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
-      .count();
-}
-
-std::vector<const KernelOps*> AvailableTiers() {
-  std::vector<const KernelOps*> tiers{KernelsForTier(KernelTier::kScalar)};
-  for (const KernelTier tier :
-       {KernelTier::kSse2, KernelTier::kAvx2, KernelTier::kNeon}) {
-    if (const KernelOps* ops = KernelsForTier(tier)) {
-      tiers.push_back(ops);
+// Best wall time of `reps` calls to `pass`, after one warm-up call.
+double BestMs(int reps, const std::function<uint64_t()>& pass) {
+  double best_ms = 0;
+  uint64_t sink = 0;
+  for (int rep = 0; rep <= reps; ++rep) {
+    const auto start = std::chrono::steady_clock::now();
+    sink ^= pass();
+    const double ms =
+        std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
+            .count();
+    if (rep > 0) {
+      best_ms = best_ms == 0 ? ms : std::min(best_ms, ms);
     }
   }
-  return tiers;
+  if (sink == 0x5a5a5a5a5a5a5a5aull) {  // keep the sink observable
+    std::printf("!");
+  }
+  return best_ms;
 }
 
 // 32-bit FNV-1a fold used for the parity checksums (exactly representable as a double,
@@ -86,26 +97,26 @@ struct ParityInputs {
 constexpr size_t kParityOffsets[] = {0, 1, 3};
 constexpr size_t kParityMaxWidth = 130;
 
-// Computes the per-kernel output checksum for one tier. Bit-identity across tiers means
-// these folds agree for every tier; the scalar value is what the baseline pins.
-uint32_t ParityChecksum(const KernelOps& ops, const char* kernel,
-                        const ParityInputs& in) {
+// The output checksum of one loop. `scalar` selects the scalar reference body of
+// ScanColors/PackBitmapRow; the other loops have only one body.
+uint32_t ParityChecksum(const std::string& name, bool scalar, const ParityInputs& in) {
+  const auto scan_colors = scalar ? ScanColorsScalar : ScanColors;
+  const auto pack_bitmap_row = scalar ? PackBitmapRowScalar : PackBitmapRow;
   Fold fold;
-  const std::string name = kernel;
   for (const size_t offset : kParityOffsets) {
     for (size_t w = 0; w + offset < kParityMaxWidth; ++w) {
       if (name == "row_hash") {
-        fold.U64(ops.row_hash(in.random.data() + offset, w));
+        fold.U64(RowHash64(std::span<const Pixel>(in.random.data() + offset, w)));
       } else if (name == "scan_colors") {
         ColorScan scan;
-        ops.scan_colors(in.bicolor.data() + offset, w, &scan);
-        ops.scan_colors(in.random.data() + offset, w / 2, &scan);  // mid-state entry
+        scan_colors(in.bicolor.data() + offset, w, &scan);
+        scan_colors(in.random.data() + offset, w / 2, &scan);  // mid-state entry
         fold.U32(static_cast<uint32_t>(scan.distinct));
         fold.U32(scan.first);
         fold.U32(scan.second);
       } else if (name == "pack_bitmap_row") {
         uint8_t out[(kParityMaxWidth + 7) / 8] = {};
-        ops.pack_bitmap_row(in.bicolor.data() + offset, w, 0xc0ffee, out);
+        pack_bitmap_row(in.bicolor.data() + offset, w, 0xc0ffee, out);
         for (size_t i = 0; i < (w + 7) / 8; ++i) {
           fold.Byte(out[i]);
         }
@@ -116,18 +127,16 @@ uint32_t ParityChecksum(const KernelOps& ops, const char* kernel,
           b[w / 3] ^= 0xffffff;  // plant one diff so lo/hi carry information
         }
         int32_t lo = -1, hi = -1;
-        const bool changed =
-            ops.row_diff_span(in.random.data() + offset, b.data(), w, &lo, &hi);
+        const bool changed = RowDiffSpan(in.random.data() + offset, b.data(), w, &lo, &hi);
         fold.U32(changed ? 1u : 0u);
         fold.U32(static_cast<uint32_t>(lo));
         fold.U32(static_cast<uint32_t>(hi));
       } else {  // rgb_to_yuv_row
-        uint8_t y[kParityMaxWidth], u[kParityMaxWidth], v[kParityMaxWidth];
-        ops.rgb_to_yuv_row(in.random.data() + offset, w, y, u, v);
         for (size_t i = 0; i < w; ++i) {
-          fold.Byte(y[i]);
-          fold.Byte(u[i]);
-          fold.Byte(v[i]);
+          const Yuv yuv = RgbToYuv(in.random[offset + i]);
+          fold.Byte(yuv.y);
+          fold.Byte(yuv.u);
+          fold.Byte(yuv.v);
         }
       }
     }
@@ -146,20 +155,15 @@ int main() {
 
   ScopedTraceFromEnv trace;
   BenchReporter report("kernels",
-                       "Per-tier throughput and cross-tier parity of the SIMD pixel "
-                       "kernels");
+                       "Throughput and scalar/SSE2 parity of the per-row pixel loops");
   report.Knob("SLIM_KB_WIDTH", width);
   report.Knob("SLIM_KB_ROWS", rows);
   report.Knob("SLIM_KB_REPS", reps);
+  std::printf("Pixel row loops, %d rows x %d px, best of %d\n", rows, width, reps);
 
-  const auto tiers = AvailableTiers();
-  report.Metric("tiers.available", static_cast<int64_t>(tiers.size()), "tiers");
-  std::printf("Pixel kernels, %d rows x %d px, best of %d  (dispatch default: %s)\n",
-              rows, width, reps, KernelTierName(Kernels().tier));
-
-  // Benchmark inputs, built once. Each pass reads `rows` distinct rows out of a buffer
-  // a few rows larger than L2 so the working set resembles framebuffer scans, not a
-  // single hot cache line.
+  // Inputs, built once. Each pass reads `rows` distinct rows out of a buffer a few rows
+  // larger than L2 so the working set resembles framebuffer scans, not a single hot
+  // cache line.
   const size_t n = static_cast<size_t>(width);
   const size_t total = n * static_cast<size_t>(rows);
   Rng rng(0xbe7c);
@@ -168,133 +172,111 @@ int main() {
     noise[i] = static_cast<Pixel>(rng.NextU64() & 0xffffff);
     bicolor[i] = (rng.NextU64() & 7) ? 0x123456 : 0xfedcba;
   }
-  const std::vector<Pixel> noise_copy = noise;  // equal rows for the diff kernel
+  const std::vector<Pixel> noise_copy = noise;  // equal rows for the diff
   std::vector<uint8_t> bits(n / 8 + 8);
-  std::vector<uint8_t> yp(n), up(n), vp(n);
+  std::vector<Yuv> yuv(n);
 
-  const double gb = static_cast<double>(total) * sizeof(Pixel) / 1e9;
-
-  struct KernelCase {
-    const char* name;
-    // Runs one full pass over the input rows; returns a sink value so the optimizer
-    // cannot delete the loop.
-    uint64_t (*pass)(const KernelOps&, const std::vector<Pixel>&,
-                     const std::vector<Pixel>&, const std::vector<Pixel>&, size_t,
-                     int, std::vector<uint8_t>*, std::vector<uint8_t>*,
-                     std::vector<uint8_t>*, std::vector<uint8_t>*);
+  // One body of one loop: processes the row starting at pixel `at`, returns a sink value
+  // so the optimizer cannot delete the work.
+  struct Body {
+    const char* label;
+    std::function<uint64_t(size_t at)> row;
   };
-  const KernelCase cases[] = {
+  const auto scan_with = [&](void (*scan_colors)(const Pixel*, size_t, ColorScan*)) {
+    return [&, scan_colors](size_t at) -> uint64_t {
+      ColorScan scan;  // fresh per row: scan the whole row, never early-exit
+      scan_colors(bicolor.data() + at, n, &scan);
+      return static_cast<uint64_t>(scan.distinct) + scan.first + scan.second;
+    };
+  };
+  const auto pack_with = [&](void (*pack)(const Pixel*, size_t, Pixel, uint8_t*)) {
+    return [&, pack](size_t at) -> uint64_t {
+      pack(bicolor.data() + at, n, 0xfedcba, bits.data());
+      return bits[0] + bits[n / 8 - 1];
+    };
+  };
+  struct Loop {
+    const char* name;
+    std::vector<Body> bodies;  // bodies[0] is the scalar reference
+  };
+  const Loop loops[] = {
       {"row_hash",
-       [](const KernelOps& ops, const std::vector<Pixel>& noise,
-          const std::vector<Pixel>&, const std::vector<Pixel>&, size_t n, int rows,
-          std::vector<uint8_t>*, std::vector<uint8_t>*, std::vector<uint8_t>*,
-          std::vector<uint8_t>*) {
-         uint64_t sink = 0;
-         for (int r = 0; r < rows; ++r) {
-           sink ^= ops.row_hash(noise.data() + static_cast<size_t>(r) * n, n);
-         }
-         return sink;
-       }},
+       {{"scalar",
+         [&](size_t at) { return RowHash64(std::span<const Pixel>(noise.data() + at, n)); }}}},
       {"scan_colors",
-       [](const KernelOps& ops, const std::vector<Pixel>&,
-          const std::vector<Pixel>& bicolor, const std::vector<Pixel>&, size_t n,
-          int rows, std::vector<uint8_t>*, std::vector<uint8_t>*,
-          std::vector<uint8_t>*, std::vector<uint8_t>*) {
-         uint64_t sink = 0;
-         for (int r = 0; r < rows; ++r) {
-           ColorScan scan;  // fresh per row: scan the whole row, never early-exit
-           ops.scan_colors(bicolor.data() + static_cast<size_t>(r) * n, n, &scan);
-           sink += static_cast<uint64_t>(scan.distinct) + scan.first + scan.second;
-         }
-         return sink;
+       {{"scalar", scan_with(ScanColorsScalar)},
+#if defined(__SSE2__)
+        {"sse2", scan_with(ScanColors)}
+#endif
        }},
       {"pack_bitmap_row",
-       [](const KernelOps& ops, const std::vector<Pixel>&,
-          const std::vector<Pixel>& bicolor, const std::vector<Pixel>&, size_t n,
-          int rows, std::vector<uint8_t>* bits, std::vector<uint8_t>*,
-          std::vector<uint8_t>*, std::vector<uint8_t>*) {
-         uint64_t sink = 0;
-         for (int r = 0; r < rows; ++r) {
-           ops.pack_bitmap_row(bicolor.data() + static_cast<size_t>(r) * n, n,
-                               0xfedcba, bits->data());
-           sink += (*bits)[0] + (*bits)[n / 8 - 1];
-         }
-         return sink;
+       {{"scalar", pack_with(PackBitmapRowScalar)},
+#if defined(__SSE2__)
+        {"sse2", pack_with(PackBitmapRow)}
+#endif
        }},
       {"row_diff_span",
-       [](const KernelOps& ops, const std::vector<Pixel>& noise,
-          const std::vector<Pixel>&, const std::vector<Pixel>& noise_copy, size_t n,
-          int rows, std::vector<uint8_t>*, std::vector<uint8_t>*,
-          std::vector<uint8_t>*, std::vector<uint8_t>*) {
-         uint64_t sink = 0;
-         for (int r = 0; r < rows; ++r) {
+       {{"scalar",
+         [&](size_t at) -> uint64_t {
            int32_t lo = 0, hi = 0;
-           const size_t at = static_cast<size_t>(r) * n;
-           sink += ops.row_diff_span(noise.data() + at, noise_copy.data() + at, n,
-                                     &lo, &hi)
-                       ? 1u
-                       : 0u;
-         }
-         return sink;
-       }},
+           return RowDiffSpan(noise.data() + at, noise_copy.data() + at, n, &lo, &hi) ? 1
+                                                                                      : 0;
+         }}}},
       {"rgb_to_yuv_row",
-       [](const KernelOps& ops, const std::vector<Pixel>& noise,
-          const std::vector<Pixel>&, const std::vector<Pixel>&, size_t n, int rows,
-          std::vector<uint8_t>*, std::vector<uint8_t>* yp, std::vector<uint8_t>* up,
-          std::vector<uint8_t>* vp) {
-         uint64_t sink = 0;
-         for (int r = 0; r < rows; ++r) {
-           ops.rgb_to_yuv_row(noise.data() + static_cast<size_t>(r) * n, n,
-                              yp->data(), up->data(), vp->data());
-           sink += (*yp)[0] + (*up)[n / 2] + (*vp)[n - 1];
-         }
-         return sink;
-       }},
+       {{"scalar",
+         [&](size_t at) -> uint64_t {
+           for (size_t i = 0; i < n; ++i) {
+             yuv[i] = RgbToYuv(noise[at + i]);
+           }
+           return yuv[0].y + yuv[n / 2].u + yuv[n - 1].v;
+         }}}},
   };
 
+  const double gb = static_cast<double>(total) * sizeof(Pixel) / 1e9;
   const ParityInputs parity_inputs;
-  for (const KernelCase& kc : cases) {
-    // Parity checksums first: every tier must fold to the same value, and the scalar
-    // fold is the deterministic metric the committed baseline pins.
-    const uint32_t checksum = ParityChecksum(*tiers[0], kc.name, parity_inputs);
-    for (const KernelOps* ops : tiers) {
-      SLIM_CHECK(ParityChecksum(*ops, kc.name, parity_inputs) == checksum);
-    }
-    report.Metric(std::string("parity.") + kc.name + ".checksum",
+  for (const Loop& loop : loops) {
+    // Parity checksum first: the vector body must fold to the scalar value, and that
+    // value is the deterministic metric the committed baseline pins.
+    const uint32_t checksum = ParityChecksum(loop.name, /*scalar=*/true, parity_inputs);
+    SLIM_CHECK(ParityChecksum(loop.name, /*scalar=*/false, parity_inputs) == checksum);
+    report.Metric(std::string("parity.") + loop.name + ".checksum",
                   static_cast<int64_t>(checksum), "fnv32");
 
     double scalar_ms = 0;
-    std::printf("  %-16s", kc.name);
-    for (const KernelOps* ops : tiers) {
-      double best_ms = 0;
-      uint64_t sink = 0;
-      for (int rep = 0; rep <= reps; ++rep) {
-        const auto start = std::chrono::steady_clock::now();
-        sink ^= kc.pass(*ops, noise, bicolor, noise_copy, n, rows, &bits, &yp, &up,
-                        &vp);
-        const double ms = MillisSince(start);
-        if (rep > 0) {  // rep 0 warms up
-          best_ms = best_ms == 0 ? ms : std::min(best_ms, ms);
+    std::printf("  %-16s", loop.name);
+    for (const Body& body : loop.bodies) {
+      const double best_ms = BestMs(reps, [&] {
+        uint64_t sink = 0;
+        for (int r = 0; r < rows; ++r) {
+          sink += body.row(static_cast<size_t>(r) * n);
         }
-      }
+        return sink;
+      });
       const double gbps = best_ms > 0 ? gb * 1000.0 / best_ms : 0;
-      const std::string prefix = std::string(kc.name) + "." + KernelTierName(ops->tier);
+      const std::string prefix = std::string(loop.name) + "." + body.label;
       report.Metric(prefix + ".gbps", gbps, "GB/s");
-      if (ops->tier == KernelTier::kScalar) {
+      if (scalar_ms == 0) {
         scalar_ms = best_ms;
-        std::printf("  scalar %6.2f GB/s", gbps);
+        std::printf("  %s %6.2f GB/s", body.label, gbps);
       } else {
         const double speedup = best_ms > 0 ? scalar_ms / best_ms : 0;
         report.Metric(prefix + ".speedup", speedup, "x");
-        std::printf("   %s %6.2f GB/s (%4.2fx)", KernelTierName(ops->tier), gbps,
-                    speedup);
-      }
-      if (sink == 0x5a5a5a5a5a5a5a5aull) {  // keep the sink observable
-        std::printf("!");
+        std::printf("   %s %6.2f GB/s (%4.2fx)", body.label, gbps, speedup);
       }
     }
     std::printf("\n");
   }
+
+  // One 640x480 raycast frame per pass, a new camera each time.
+  const RaycastEngine engine(640, 480);
+  int frame = 0;
+  const double raycast_ms = BestMs(reps, [&] {
+    const std::vector<uint8_t> pixels = engine.RenderFrame(engine.DemoCamera(frame++));
+    return static_cast<uint64_t>(pixels[pixels.size() / 2]);
+  });
+  const double raycast_gbps = raycast_ms > 0 ? 640.0 * 480 / 1e9 * 1000.0 / raycast_ms : 0;
+  report.Metric("raycast.gbps", raycast_gbps, "GB/s");
+  std::printf("  %-16s  %.2f ms/frame (640x480)\n", "raycast", raycast_ms);
 
   return report.Write() ? 0 : 1;
 }

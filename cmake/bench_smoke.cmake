@@ -22,18 +22,8 @@ if(harness_count EQUAL 0)
   message(FATAL_ERROR "bench_smoke: no harnesses found in ${BENCH_DIR}")
 endif()
 
-# Every sim-session harness honors SLIM_TRACE; bench_micro_codec is wall-clock
-# (google-benchmark) and traces nothing, so it is the one expected gap.
-set(expected_traces 0)
 foreach(harness ${harnesses})
   get_filename_component(name ${harness} NAME)
-  set(extra_args "")
-  if(name STREQUAL "bench_micro_codec")
-    # Wall-clock microbenchmarks: one repetition at minimal measuring time.
-    set(extra_args --benchmark_min_time=0.01)
-  else()
-    math(EXPR expected_traces "${expected_traces} + 1")
-  endif()
   message(STATUS "bench_smoke: ${name}")
   execute_process(
     COMMAND ${CMAKE_COMMAND} -E env
@@ -43,7 +33,7 @@ foreach(harness ${harnesses})
       SLIM_MIG_REPS=2 SLIM_MIG_WIDTH=160 SLIM_MIG_HEIGHT=120
       SLIM_BENCH_DIR=${OUT_DIR}
       SLIM_TRACE=${OUT_DIR}/TRACE_${name}.json
-      ${harness} ${extra_args}
+      ${harness}
     RESULT_VARIABLE rc
     OUTPUT_QUIET)
   if(NOT rc EQUAL 0)
@@ -64,14 +54,14 @@ if(NOT rc EQUAL 0)
   message(FATAL_ERROR "bench_smoke: report validation failed (${rc})")
 endif()
 
-# Every trace the harnesses wrote must load as Chrome trace JSON (parseable array,
-# balanced B/E spans) — SLIM_TRACE was set above, so a harness that ignores it or writes
-# a corrupt trace fails here.
+# Every harness honors SLIM_TRACE, and every trace it wrote must load as Chrome trace
+# JSON (parseable array, balanced B/E spans) — SLIM_TRACE was set above, so a harness that
+# ignores it or writes a corrupt trace fails here.
 file(GLOB traces ${OUT_DIR}/TRACE_*.json)
 list(LENGTH traces trace_count)
-if(NOT trace_count EQUAL expected_traces)
+if(NOT trace_count EQUAL harness_count)
   message(FATAL_ERROR
-    "bench_smoke: expected ${expected_traces} TRACE_*.json files but found ${trace_count} "
+    "bench_smoke: expected ${harness_count} TRACE_*.json files but found ${trace_count} "
     "in ${OUT_DIR} - some harness dropped its SLIM_TRACE output")
 endif()
 execute_process(COMMAND ${VALIDATOR} --trace ${traces} RESULT_VARIABLE rc)

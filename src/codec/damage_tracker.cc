@@ -6,8 +6,8 @@
 #include <cstring>
 
 #include "src/codec/encoder.h"
-#include "src/codec/kernels/kernels.h"
 #include "src/codec/row_hash.h"
+#include "src/codec/row_ops.h"
 #include "src/util/check.h"
 
 namespace slim {
@@ -174,7 +174,6 @@ Region DamageTracker::Refine(const Framebuffer& fb, const Region& damage,
     }
   }
 
-  const KernelOps& kernels = Kernels();
   Region refined;
   for (const Rect& r : damage.rects()) {
     SLIM_DCHECK(shadow_.bounds().ContainsRect(r));
@@ -189,10 +188,10 @@ Region DamageTracker::Refine(const Framebuffer& fb, const Region& damage,
       const std::span<const Pixel> cur = fb.Row(y, r.x, r.w);
       const std::span<const Pixel> old = shadow_.Row(y, r.x, r.w);
       // Tight changed extent — first and last differing pixel in the rect's columns —
-      // in one kernel pass instead of a memcmp plus two scalar scans.
+      // from one RowDiffSpan call.
       int32_t lo = 0;
       int32_t hi = r.w;  // exclusive
-      if (!kernels.row_diff_span(cur.data(), old.data(), cur.size(), &lo, &hi)) {
+      if (!RowDiffSpan(cur.data(), old.data(), cur.size(), &lo, &hi)) {
         continue;  // the change is on this row but outside this rect
       }
       // Bring the shadow up to date for this row before moving on; fb hashes are cached,

@@ -5,15 +5,15 @@
 #include <unordered_map>
 #include <vector>
 
-#include "src/codec/kernels/kernels.h"
 #include "src/codec/row_hash.h"
+#include "src/codec/row_ops.h"
 #include "src/util/check.h"
 
 namespace slim {
 
 namespace {
 
-// Classifies a rectangle's pixel population via the kernel layer's ColorScan: `first`
+// Classifies a rectangle's pixel population with ScanColors (row_ops.h): `first`
 // and `second` are the first two distinct colors encountered in scan order (not the
 // most common ones); for the bicolor regions BITMAP targets the two sets coincide, and
 // for anything richer the scan bails out at distinct == 3 anyway.
@@ -22,8 +22,7 @@ namespace {
 // already clipped. Scanning row spans bounds-checks once per row, and a row that repeats
 // the previous row byte-for-byte (solid panels, text leading, letterboxing) is skipped
 // with one memcmp instead of being re-classified pixel by pixel.
-ColorScan ScanColors(const Framebuffer& fb, const Rect& r) {
-  const KernelOps& kernels = Kernels();
+ColorScan ScanRectColors(const Framebuffer& fb, const Rect& r) {
   ColorScan scan;
   const size_t row_bytes = static_cast<size_t>(r.w) * sizeof(Pixel);
   std::span<const Pixel> prev;
@@ -32,7 +31,7 @@ ColorScan ScanColors(const Framebuffer& fb, const Rect& r) {
     if (!prev.empty() && std::memcmp(row.data(), prev.data(), row_bytes) == 0) {
       continue;
     }
-    kernels.scan_colors(row.data(), row.size(), &scan);
+    ScanColors(row.data(), row.size(), &scan);
     if (scan.distinct >= 3) {
       return scan;
     }
@@ -125,7 +124,7 @@ void Encoder::AppendBands(const Framebuffer& fb, const Rect& rect,
 void Encoder::EncodeBand(const Framebuffer& fb, const Rect& band,
                          std::vector<DisplayCommand>* out) const {
   // Whole-band fast path: uniform or bicolor bands are common (window background, text).
-  const ColorScan whole = ScanColors(fb, band);
+  const ColorScan whole = ScanRectColors(fb, band);
   if (whole.distinct <= 1 && options_.enable_fill) {
     out->push_back(FillCommand{band, whole.first});
     return;
@@ -148,7 +147,7 @@ void Encoder::EncodeBand(const Framebuffer& fb, const Rect& band,
   for (int32_t x = band.x; x < band.right(); x += options_.chunk_width) {
     const int32_t cw = std::min(options_.chunk_width, band.right() - x);
     const Rect r{x, band.y, cw, band.h};
-    const ColorScan scan = ScanColors(fb, r);
+    const ColorScan scan = ScanRectColors(fb, r);
     Chunk chunk{Kind::kSet, r, 0, 0};
     if (scan.distinct <= 1 && options_.enable_fill) {
       chunk = Chunk{Kind::kFill, r, scan.first, 0};
@@ -224,15 +223,14 @@ void Encoder::EmitSet(const Framebuffer& fb, const Rect& rect,
 
 void Encoder::EmitBitmap(const Framebuffer& fb, const Rect& rect, Pixel bg, Pixel fg,
                          std::vector<DisplayCommand>* out) const {
-  // The kernel packs MSB-first with the trailing bits of a row's final byte zero,
+  // PackBitmapRow packs MSB-first with the trailing bits of a row's final byte zero,
   // exactly the layout ExpandBitmap expects.
-  const KernelOps& kernels = Kernels();
   const size_t stride = (static_cast<size_t>(rect.w) + 7) / 8;
   std::vector<uint8_t> bits(stride * static_cast<size_t>(rect.h), 0);
   for (int32_t y = rect.y; y < rect.bottom(); ++y) {
     const std::span<const Pixel> row = fb.Row(y, rect.x, rect.w);
-    kernels.pack_bitmap_row(row.data(), row.size(), fg,
-                            &bits[static_cast<size_t>(y - rect.y) * stride]);
+    PackBitmapRow(row.data(), row.size(), fg,
+                  &bits[static_cast<size_t>(y - rect.y) * stride]);
   }
   out->push_back(BitmapCommand{rect, fg, bg, std::move(bits)});
 }

@@ -5,8 +5,6 @@
 #include <climits>
 #include <type_traits>
 
-#include "src/codec/kernels/kernels.h"
-#include "src/codec/kernels/kernels_internal.h"
 #include "src/util/check.h"
 
 namespace slim {
@@ -431,13 +429,27 @@ void ConvertScaled(Rows rows, int32_t sw, int32_t sh, int32_t dst_w, int32_t dst
 }  // namespace
 
 Yuv RgbToYuv(Pixel rgb) {
-  // Fixed-point BT.601 (20-bit coefficients, round-half-up) shared with the SIMD kernel
-  // layer — the single-pixel and bulk conversions must agree bit-for-bit, and integer
-  // arithmetic is what makes the per-tier vector implementations exactly reproducible.
-  // Differs from the old double-based lround formula by at most 1 LSB on ~0.06% of the
-  // 2^24 inputs (verified exhaustively).
+  // BT.601 full-range coefficients scaled by 2^20, rounded half-up. The luma weights sum
+  // to exactly 2^20 (white -> 255 exactly) and the chroma weight pairs each sum to
+  // exactly 2^19 (gray -> 128 exactly). Y is always in [0, 255]; U/V can reach 256 at the
+  // saturated corners (e.g. pure blue: 128 + 0.5*255 = 255.5 rounds up), hence the min.
+  // Differs from a double-based lround formula by at most 1 LSB on ~0.06% of the 2^24
+  // inputs (verified exhaustively).
+  constexpr int32_t kShift = 20;
+  constexpr int32_t kHalf = 1 << (kShift - 1);
+  constexpr int32_t kBias = 128 << kShift;
+  constexpr int32_t kYR = 313524, kYG = 615514, kYB = 119538;  // sum == 1 << 20
+  constexpr int32_t kUR = 176933, kUG = 347355, kUB = 524288;  // kUR + kUG == kUB
+  constexpr int32_t kVR = 524288, kVG = 439026, kVB = 85262;   // kVG + kVB == kVR
+  const int32_t r = PixelR(rgb);
+  const int32_t g = PixelG(rgb);
+  const int32_t b = PixelB(rgb);
   Yuv out;
-  RgbToYuvScalarOne(rgb, &out.y, &out.u, &out.v);
+  out.y = static_cast<uint8_t>((kYR * r + kYG * g + kYB * b + kHalf) >> kShift);
+  out.u = static_cast<uint8_t>(
+      std::min(255, (kBias + kUB * b - kUR * r - kUG * g + kHalf) >> kShift));
+  out.v = static_cast<uint8_t>(
+      std::min(255, (kBias + kVR * r - kVG * g - kVB * b + kHalf) >> kShift));
   return out;
 }
 
@@ -470,15 +482,11 @@ void YuvImage::Set(int32_t x, int32_t y, Yuv value) {
 YuvImage YuvImage::FromPixels(std::span<const Pixel> rgb, int32_t w, int32_t h) {
   SLIM_CHECK(rgb.size() >= static_cast<size_t>(w) * h);
   YuvImage image(w, h);
-  // Row-span conversion straight into the planes through the dispatched kernel — no
-  // per-pixel bounds-checked Set() calls; this loop is the whole CSCS encode cost for
-  // video frames, so it gets the vector tier when the CPU has one.
-  const KernelOps& kernels = Kernels();
-  for (int32_t y = 0; y < h; ++y) {
-    const size_t row = static_cast<size_t>(y) * w;
-    kernels.rgb_to_yuv_row(rgb.data() + row, static_cast<size_t>(w),
-                           image.y_.data() + row, image.u_.data() + row,
-                           image.v_.data() + row);
+  for (size_t i = 0; i < image.y_.size(); ++i) {
+    const Yuv yuv = RgbToYuv(rgb[i]);
+    image.y_[i] = yuv.y;
+    image.u_[i] = yuv.u;
+    image.v_[i] = yuv.v;
   }
   return image;
 }

@@ -15,9 +15,7 @@
 //
 // Quantized components store the top bits of the 8-bit value and are expanded by bit
 // replication on decode. RGB->YUV uses BT.601 studio-swing-free ("full range") constants
-// in 20-bit fixed point shared with the SIMD kernel layer (src/codec/kernels/), so the
-// conversion is bit-identical across kernel tiers and between the single-pixel and bulk
-// (FromPixels) paths.
+// in 20-bit fixed point; FromPixels is RgbToYuv applied to every pixel.
 //
 // Decode is one fused pass, DecodeCscsToRgb: it unpacks each source row straight from the
 // payload (every plane starts byte-aligned, so any row can be located and read on its own;

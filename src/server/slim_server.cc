@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "src/codec/damage_tracker.h"
-#include "src/codec/kernels/kernels.h"
 #include "src/codec/parallel.h"
 #include "src/obs/latency_audit.h"
 #include "src/obs/metrics.h"
@@ -255,12 +254,6 @@ void SlimServer::ResetSessionPacing(uint32_t session_id) {
 bool SlimServer::RegisterMetrics(MetricRegistry* registry, const std::string& prefix) {
   SLIM_CHECK(registry != nullptr);
   bool ok = auth_.RegisterMetrics(registry, prefix + ".auth");
-  // Which SIMD kernel tier the encode path resolved at startup (KernelTier numeric
-  // value: 0=scalar 1=sse2 2=avx2 3=neon). A gauge so dashboards snapshotting a server
-  // can tell whether its pixel loops are running vectorized without shell access.
-  ok = registry->BindGauge("codec.kernels.tier",
-                           [] { return static_cast<double>(Kernels().tier); }) &&
-       ok;
   ok = registry->BindGauge(prefix + ".sessions",
                            [this] { return static_cast<double>(sessions_.size()); }) &&
        ok;

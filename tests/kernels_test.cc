@@ -1,60 +1,38 @@
-// Parity properties of the SIMD kernel layer (src/codec/kernels/): every compiled-in
-// tier must be bit-identical to the scalar reference on every input — the invariant the
-// whole dispatch design rests on (kernels.h). The fuzz matrix covers widths 1..257,
-// unaligned row offsets (so vector loads straddle cache lines and nothing assumes
-// 32-byte alignment), degenerate empty/1px spans, and adversarial content (uniform,
-// bicolor, third-color planted at every interesting position, pure noise).
+// Parity properties of the per-row pixel loops (src/codec/row_ops.h, src/codec/row_hash.h,
+// RgbToYuv in src/color/yuv.h). ScanColors and PackBitmapRow have an SSE2 body on x86;
+// it must be bit-identical to the exported scalar reference on every input, because the
+// encoder's wire bytes may not depend on the build target. The loops without a vector
+// body are checked against a plain restatement of their definition. The fuzz matrix
+// covers widths 0..257, unaligned row offsets (so vector loads straddle cache lines and
+// nothing assumes 16-byte alignment), degenerate empty/1px spans, and adversarial
+// content (uniform, bicolor, third color planted at every interesting position, noise).
 //
-// The suite also proves the end-to-end consequence: the damage-tracker + encoder
-// pipeline emits an IDENTICAL command stream under every tier, so wire output does not
-// depend on the host CPU or SLIM_KERNELS. ctest re-runs this binary with each tier
-// forced (kernels_test_scalar / _sse2 / _avx2), skipping when the CPU lacks the ISA.
+// Every span is copied into a buffer of exactly its width before the call, so a vector
+// body that reads or writes one block past the end is an out-of-bounds access the asan
+// preset reports.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 #include <iterator>
-#include <string>
 #include <vector>
 
-#include "src/codec/damage_tracker.h"
-#include "src/codec/encoder.h"
-#include "src/codec/kernels/kernels.h"
 #include "src/codec/row_hash.h"
+#include "src/codec/row_ops.h"
 #include "src/color/yuv.h"
 #include "src/util/rng.h"
 
 namespace slim {
 namespace {
 
-// Scalar first, then every other tier this build + CPU can execute.
-std::vector<const KernelOps*> AllTiers() {
-  std::vector<const KernelOps*> tiers{KernelsForTier(KernelTier::kScalar)};
-  for (const KernelTier tier :
-       {KernelTier::kSse2, KernelTier::kAvx2, KernelTier::kNeon}) {
-    if (const KernelOps* ops = KernelsForTier(tier)) {
-      tiers.push_back(ops);
-    }
-  }
-  // The NEON stub's bodies are scalar forwards, so the table runs on any host even when
-  // dispatch gates it out of KernelsForTier (non-ARM builds). Fold it into the matrix so
-  // the fallback table is exercised by every CI run, not only AArch64 ones.
-  if (KernelsForTier(KernelTier::kNeon) == nullptr) {
-    tiers.push_back(GetNeonKernelsForTest());
-  }
-  return tiers;
-}
-
 // The fuzz width sweep: every width in [0, 257] at several unaligned pixel offsets.
 constexpr int32_t kMaxWidth = 257;
 constexpr size_t kOffsets[] = {0, 1, 2, 3, 5, 7};
 
-// A buffer with room for any width at any offset. Sized exactly so that a vector tail
-// that over-reads past width+offset is an out-of-bounds access ASan can see.
+// Source pixels for every (width, offset) pair; spans are copied out with Exact().
 std::vector<Pixel> RandomPixels(Rng* rng, size_t palette = 0) {
-  std::vector<Pixel> data(kMaxWidth + 16);
+  std::vector<Pixel> data(kMaxWidth + 8);
   for (Pixel& p : data) {
     p = palette == 0 ? static_cast<Pixel>(rng->NextU64() & 0xffffff)
                      : static_cast<Pixel>(rng->NextBelow(palette) * 0x123457);
@@ -62,74 +40,43 @@ std::vector<Pixel> RandomPixels(Rng* rng, size_t palette = 0) {
   return data;
 }
 
-TEST(KernelsTest, TierNamesRoundTrip) {
-  for (const KernelTier tier : {KernelTier::kScalar, KernelTier::kSse2,
-                                KernelTier::kAvx2, KernelTier::kNeon}) {
-    const auto parsed = KernelTierFromName(KernelTierName(tier));
-    ASSERT_TRUE(parsed.has_value());
-    EXPECT_EQ(*parsed, tier);
-  }
-  EXPECT_EQ(KernelTierFromName("AVX2"), KernelTier::kAvx2);  // case-insensitive
-  EXPECT_FALSE(KernelTierFromName("avx512").has_value());
-  EXPECT_FALSE(KernelTierFromName("").has_value());
+// data[offset, offset + w) in a heap buffer of exactly w pixels.
+std::vector<Pixel> Exact(const std::vector<Pixel>& data, size_t offset, int32_t w) {
+  return std::vector<Pixel>(data.begin() + offset, data.begin() + offset + w);
 }
 
-TEST(KernelsTest, ScalarTierAlwaysAvailable) {
-  ASSERT_NE(KernelsForTier(KernelTier::kScalar), nullptr);
-  EXPECT_EQ(KernelsForTier(KernelTier::kScalar)->tier, KernelTier::kScalar);
-}
-
-// The NEON stub table must be installable on ANY host: its bodies forward to scalar, so
-// only the dispatch gate (GetNeonKernels) is ISA-dependent. This is what lets the parity
-// matrix below cover the ARM fallback path on x86 CI instead of leaving it dead code.
-TEST(KernelsTest, NeonStubInstallsViaScopedOverride) {
-  const KernelOps* neon = GetNeonKernelsForTest();
-  ASSERT_NE(neon, nullptr);
-  EXPECT_EQ(neon->tier, KernelTier::kNeon);
-  ScopedKernelsForTest forced(neon);
-  EXPECT_EQ(Kernels().tier, KernelTier::kNeon);
-}
-
-// When ctest forces a tier via SLIM_KERNELS, dispatch must have landed on it — that is
-// what makes the tier-forced suite runs mean something. Skips (rather than fails) when
-// this machine cannot execute the requested ISA.
-TEST(KernelsTest, DispatchHonorsForcedTier) {
-  const char* forced = std::getenv("SLIM_KERNELS");
-  if (forced == nullptr || *forced == '\0') {
-    GTEST_SKIP() << "SLIM_KERNELS not set";
+// The 4-lane FNV-1a row hash restated lane by lane: pixel i of the 4-aligned prefix goes
+// to lane i % 4, the tail to lane 0, then the lanes fold and avalanche.
+uint64_t RowHashReference(const std::vector<Pixel>& row) {
+  constexpr uint64_t kPrime = 0x100000001b3ull;
+  uint64_t lane[4] = {0xcbf29ce484222325ull, 0x9e3779b97f4a7c15ull, 0xbf58476d1ce4e5b9ull,
+                      0x94d049bb133111ebull};
+  const size_t body = row.size() / 4 * 4;
+  for (size_t i = 0; i < row.size(); ++i) {
+    uint64_t& h = lane[i < body ? i % 4 : 0];
+    h = (h ^ row[i]) * kPrime;
   }
-  const auto tier = KernelTierFromName(forced);
-  ASSERT_TRUE(tier.has_value()) << "unparseable SLIM_KERNELS: " << forced;
-  if (KernelsForTier(*tier) == nullptr) {
-    GTEST_SKIP() << "CPU cannot execute tier " << forced;
-  }
-  EXPECT_EQ(Kernels().tier, *tier);
+  uint64_t h = (((lane[0] ^ lane[1]) * kPrime ^ lane[2]) * kPrime ^ lane[3]) * kPrime;
+  h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ull;
+  h = (h ^ (h >> 27)) * 0x94d049bb133111ebull;
+  return h ^ (h >> 31);
 }
 
 TEST(KernelsTest, RowHashParityFuzz) {
   Rng rng(0xae01);
-  const KernelOps* scalar = KernelsForTier(KernelTier::kScalar);
   for (int round = 0; round < 4; ++round) {
     const std::vector<Pixel> data = RandomPixels(&rng, round == 0 ? 0 : 3);
     for (const size_t offset : kOffsets) {
       for (int32_t w = 0; w <= kMaxWidth; ++w) {
-        const uint64_t want = scalar->row_hash(data.data() + offset, w);
-        for (const KernelOps* ops : AllTiers()) {
-          ASSERT_EQ(ops->row_hash(data.data() + offset, w), want)
-              << KernelTierName(ops->tier) << " w=" << w << " offset=" << offset;
-        }
+        const std::vector<Pixel> row = Exact(data, offset, w);
+        ASSERT_EQ(RowHash64(row), RowHashReference(row)) << "w=" << w << " offset=" << offset;
       }
     }
   }
-  // And the public wrapper routes through dispatch.
-  const std::vector<Pixel> data = RandomPixels(&rng);
-  EXPECT_EQ(RowHash64(std::span<const Pixel>(data.data(), 100)),
-            Kernels().row_hash(data.data(), 100));
 }
 
 TEST(KernelsTest, ScanColorsParityFuzz) {
   Rng rng(0xae02);
-  const KernelOps* scalar = KernelsForTier(KernelTier::kScalar);
   for (int round = 0; round < 6; ++round) {
     // Rounds: uniform, bicolor x2, tricolor (early-exit), planted third color, noise.
     const size_t palette = round < 1 ? 1 : round < 3 ? 2 : round < 5 ? 3 : 0;
@@ -143,20 +90,17 @@ TEST(KernelsTest, ScanColorsParityFuzz) {
     }
     for (const size_t offset : kOffsets) {
       for (int32_t w = 0; w <= kMaxWidth; ++w) {
-        std::vector<Pixel> row(data.begin() + offset, data.begin() + offset + w);
+        std::vector<Pixel> row = Exact(data, offset, w);
         if (round == 4 && w > 0) {
           row[rng.NextBelow(3) * static_cast<size_t>(w - 1) / 2] = 0x333333;
         }
         ColorScan want;
-        scalar->scan_colors(row.data(), row.size(), &want);
-        for (const KernelOps* ops : AllTiers()) {
-          ColorScan got;
-          ops->scan_colors(row.data(), row.size(), &got);
-          ASSERT_EQ(got.distinct, want.distinct)
-              << KernelTierName(ops->tier) << " w=" << w << " offset=" << offset;
-          ASSERT_EQ(got.first, want.first) << KernelTierName(ops->tier) << " w=" << w;
-          ASSERT_EQ(got.second, want.second) << KernelTierName(ops->tier) << " w=" << w;
-        }
+        ScanColorsScalar(row.data(), row.size(), &want);
+        ColorScan got;
+        ScanColors(row.data(), row.size(), &got);
+        ASSERT_EQ(got.distinct, want.distinct) << "w=" << w << " offset=" << offset;
+        ASSERT_EQ(got.first, want.first) << "w=" << w;
+        ASSERT_EQ(got.second, want.second) << "w=" << w;
       }
     }
   }
@@ -168,29 +112,23 @@ TEST(KernelsTest, ScanColorsMultiRowContinuation) {
   for (int round = 0; round < 8; ++round) {
     std::vector<std::vector<Pixel>> rows;
     for (int r = 0; r < 3; ++r) {
-      std::vector<Pixel> src = RandomPixels(&rng, 1 + static_cast<size_t>(round % 4));
-      src.resize(33 + static_cast<size_t>(round));
-      rows.push_back(std::move(src));
+      const std::vector<Pixel> src = RandomPixels(&rng, 1 + static_cast<size_t>(round % 4));
+      rows.push_back(Exact(src, 0, 33 + round));
     }
     ColorScan want;
+    ColorScan got;
     for (const auto& row : rows) {
-      KernelsForTier(KernelTier::kScalar)->scan_colors(row.data(), row.size(), &want);
+      ScanColorsScalar(row.data(), row.size(), &want);
+      ScanColors(row.data(), row.size(), &got);
     }
-    for (const KernelOps* ops : AllTiers()) {
-      ColorScan got;
-      for (const auto& row : rows) {
-        ops->scan_colors(row.data(), row.size(), &got);
-      }
-      EXPECT_EQ(got.distinct, want.distinct) << KernelTierName(ops->tier);
-      EXPECT_EQ(got.first, want.first) << KernelTierName(ops->tier);
-      EXPECT_EQ(got.second, want.second) << KernelTierName(ops->tier);
-    }
+    EXPECT_EQ(got.distinct, want.distinct) << "round " << round;
+    EXPECT_EQ(got.first, want.first) << "round " << round;
+    EXPECT_EQ(got.second, want.second) << "round " << round;
   }
 }
 
 TEST(KernelsTest, PackBitmapRowParityFuzz) {
   Rng rng(0xae04);
-  const KernelOps* scalar = KernelsForTier(KernelTier::kScalar);
   const Pixel fg = 0xabcdef;
   for (int round = 0; round < 4; ++round) {
     std::vector<Pixel> data = RandomPixels(&rng, 2);
@@ -199,19 +137,16 @@ TEST(KernelsTest, PackBitmapRowParityFuzz) {
     }
     for (const size_t offset : kOffsets) {
       for (int32_t w = 0; w <= kMaxWidth; ++w) {
+        const std::vector<Pixel> row = Exact(data, offset, w);
         const size_t stride = (static_cast<size_t>(w) + 7) / 8;
         // Poison both outputs so unwritten bytes and stale trailing bits both surface.
         std::vector<uint8_t> want(stride + 2, 0xaa), got(stride + 2, 0x55);
-        scalar->pack_bitmap_row(data.data() + offset, w, fg, want.data());
-        for (const KernelOps* ops : AllTiers()) {
-          std::fill(got.begin(), got.end(), 0x55);
-          ops->pack_bitmap_row(data.data() + offset, w, fg, got.data());
-          ASSERT_EQ(std::vector<uint8_t>(got.begin(), got.begin() + stride),
-                    std::vector<uint8_t>(want.begin(), want.begin() + stride))
-              << KernelTierName(ops->tier) << " w=" << w << " offset=" << offset;
-          ASSERT_EQ(got[stride], 0x55)  // must not write past (n+7)/8 bytes
-              << KernelTierName(ops->tier) << " w=" << w;
-        }
+        PackBitmapRowScalar(row.data(), row.size(), fg, want.data());
+        PackBitmapRow(row.data(), row.size(), fg, got.data());
+        ASSERT_EQ(std::vector<uint8_t>(got.begin(), got.begin() + stride),
+                  std::vector<uint8_t>(want.begin(), want.begin() + stride))
+            << "w=" << w << " offset=" << offset;
+        ASSERT_EQ(got[stride], 0x55) << "w=" << w;  // must not write past (n+7)/8 bytes
       }
     }
   }
@@ -219,12 +154,11 @@ TEST(KernelsTest, PackBitmapRowParityFuzz) {
 
 TEST(KernelsTest, RowDiffSpanParityFuzz) {
   Rng rng(0xae05);
-  const KernelOps* scalar = KernelsForTier(KernelTier::kScalar);
   const std::vector<Pixel> base = RandomPixels(&rng);
   for (const size_t offset : kOffsets) {
     for (int32_t w = 1; w <= kMaxWidth; ++w) {
       for (int variant = 0; variant < 5; ++variant) {
-        std::vector<Pixel> a(base.begin() + offset, base.begin() + offset + w);
+        const std::vector<Pixel> a = Exact(base, offset, w);
         std::vector<Pixel> b = a;
         // Variants: identical, diff at first, diff at last, single random diff, two
         // random diffs (tests that lo/hi bracket, not just find-any).
@@ -238,33 +172,31 @@ TEST(KernelsTest, RowDiffSpanParityFuzz) {
           b[rng.NextBelow(static_cast<uint64_t>(w))] ^= 0xffffff;
           b[rng.NextBelow(static_cast<uint64_t>(w))] ^= 0xffffff;
         }
-        int32_t want_lo = -1, want_hi = -1;
-        const bool want =
-            scalar->row_diff_span(a.data(), b.data(), a.size(), &want_lo, &want_hi);
-        for (const KernelOps* ops : AllTiers()) {
-          int32_t lo = -1, hi = -1;
-          const bool changed =
-              ops->row_diff_span(a.data(), b.data(), a.size(), &lo, &hi);
-          ASSERT_EQ(changed, want)
-              << KernelTierName(ops->tier) << " w=" << w << " variant=" << variant;
-          if (want) {
-            ASSERT_EQ(lo, want_lo) << KernelTierName(ops->tier) << " w=" << w;
-            ASSERT_EQ(hi, want_hi) << KernelTierName(ops->tier) << " w=" << w;
+        int32_t want_lo = w, want_hi = 0;
+        for (int32_t i = 0; i < w; ++i) {
+          if (a[static_cast<size_t>(i)] != b[static_cast<size_t>(i)]) {
+            want_lo = std::min(want_lo, i);
+            want_hi = i + 1;
           }
+        }
+        const bool want = want_hi > 0;
+        int32_t lo = -1, hi = -1;
+        const bool changed = RowDiffSpan(a.data(), b.data(), a.size(), &lo, &hi);
+        ASSERT_EQ(changed, want) << "w=" << w << " variant=" << variant;
+        if (want) {
+          ASSERT_EQ(lo, want_lo) << "w=" << w;
+          ASSERT_EQ(hi, want_hi) << "w=" << w;
         }
       }
     }
   }
-  // Degenerate: empty span is "no difference" on every tier.
-  for (const KernelOps* ops : AllTiers()) {
-    int32_t lo = 7, hi = 7;
-    EXPECT_FALSE(ops->row_diff_span(base.data(), base.data() + 1, 0, &lo, &hi));
-  }
+  // Degenerate: an empty span is "no difference".
+  int32_t lo = 7, hi = 7;
+  EXPECT_FALSE(RowDiffSpan(base.data(), base.data() + 1, 0, &lo, &hi));
 }
 
 TEST(KernelsTest, RgbToYuvParityFuzz) {
   Rng rng(0xae06);
-  const KernelOps* scalar = KernelsForTier(KernelTier::kScalar);
   std::vector<Pixel> data = RandomPixels(&rng);
   // Saturated corners exercise the U/V clamp (pure blue/red hit 255.5 -> 256 -> 255).
   const Pixel corners[] = {0x000000, 0xffffff, 0xff0000, 0x00ff00, 0x0000ff,
@@ -272,26 +204,24 @@ TEST(KernelsTest, RgbToYuvParityFuzz) {
   for (size_t i = 0; i < std::size(corners); ++i) {
     data[i * 13 % data.size()] = corners[i];
   }
+  EXPECT_EQ(RgbToYuv(0x000000), (Yuv{0, 128, 128}));
+  EXPECT_EQ(RgbToYuv(0xffffff), (Yuv{255, 128, 128}));
+  EXPECT_EQ(RgbToYuv(0x808080), (Yuv{128, 128, 128}));
+  EXPECT_EQ(RgbToYuv(0x0000ff).u, 255);
+  EXPECT_EQ(RgbToYuv(0xff0000).v, 255);
   for (const size_t offset : kOffsets) {
-    for (int32_t w = 0; w <= kMaxWidth; ++w) {
-      const size_t n = static_cast<size_t>(w);
-      std::vector<uint8_t> wy(n + 1, 0xee), wu(n + 1, 0xee), wv(n + 1, 0xee);
-      scalar->rgb_to_yuv_row(data.data() + offset, n, wy.data(), wu.data(), wv.data());
-      for (const KernelOps* ops : AllTiers()) {
-        std::vector<uint8_t> gy(n + 1, 0x11), gu(n + 1, 0x11), gv(n + 1, 0x11);
-        ops->rgb_to_yuv_row(data.data() + offset, n, gy.data(), gu.data(), gv.data());
-        ASSERT_TRUE(std::equal(gy.begin(), gy.end() - 1, wy.begin()) &&
-                    std::equal(gu.begin(), gu.end() - 1, wu.begin()) &&
-                    std::equal(gv.begin(), gv.end() - 1, wv.begin()))
-            << KernelTierName(ops->tier) << " w=" << w << " offset=" << offset;
-        ASSERT_EQ(gy[n], 0x11) << KernelTierName(ops->tier);  // no overwrite past n
+    for (int32_t w = 1; w <= kMaxWidth; ++w) {
+      const std::vector<Pixel> row = Exact(data, offset, w);
+      const YuvImage image = YuvImage::FromPixels(row, w, 1);
+      for (int32_t x = 0; x < w; ++x) {
+        ASSERT_EQ(image.At(x, 0), RgbToYuv(row[static_cast<size_t>(x)]))
+            << "w=" << w << " offset=" << offset << " x=" << x;
       }
     }
   }
 }
 
-// The bulk kernel and the single-pixel RgbToYuv in src/color/yuv.cc share one fixed-point
-// definition; FromPixels must equal a per-pixel conversion exactly.
+// FromPixels is RgbToYuv applied to every pixel of a multi-row image.
 TEST(KernelsTest, FromPixelsMatchesSinglePixelConversion) {
   Rng rng(0xae07);
   const int32_t w = 61, h = 17;
@@ -304,61 +234,6 @@ TEST(KernelsTest, FromPixelsMatchesSinglePixelConversion) {
     for (int32_t x = 0; x < w; ++x) {
       const Yuv want = RgbToYuv(rgb[static_cast<size_t>(y) * w + x]);
       ASSERT_EQ(image.At(x, y), want) << "at " << x << "," << y;
-    }
-  }
-}
-
-// End-to-end: the damage-tracker + encoder pipeline transmits an IDENTICAL command
-// stream under every kernel tier — the per-tier analogue of the per-thread-count
-// equality the parallel encoder proves. Runs a scroll (COPY salvage), random damage,
-// and text-like bicolor repaints through the full refine+encode path per tier.
-TEST(KernelsTest, WireStreamIdenticalAcrossTiers) {
-  const int32_t w = 200, h = 120;
-  const auto run_pipeline = [&](const KernelOps* ops) {
-    ScopedKernelsForTest forced(ops);
-    Rng rng(0xfeed);
-    Framebuffer fb(w, h);
-    DamageTracker tracker(w, h);
-    const Encoder encoder;
-    std::vector<DisplayCommand> stream;
-    // Frame 0: dense text-like repaint. Frame 1: scroll up 16px (COPY salvage path).
-    // Frames 2..5: sparse mutations. All reported as full-frame damage so the tracker
-    // does the refining.
-    for (int frame = 0; frame < 6; ++frame) {
-      if (frame == 1) {
-        fb.CopyRect(0, 16, Rect{0, 0, w, h - 16});
-      }
-      const int mutations = frame == 0 ? 40 : 6;
-      for (int m = 0; m < mutations; ++m) {
-        const Pixel color = static_cast<Pixel>(rng.NextU64() & 0xffffff);
-        const int32_t y0 = static_cast<int32_t>(rng.NextBelow(h));
-        const int32_t x0 = static_cast<int32_t>(rng.NextBelow(w));
-        for (int32_t x = x0; x < std::min<int32_t>(x0 + 40, w); ++x) {
-          fb.PutPixel(x, y0, (x % 3) ? color : kBlack);
-        }
-      }
-      std::vector<DisplayCommand> cmds;
-      const Region residual =
-          tracker.Refine(fb, Region(fb.bounds()), /*scroll_max_shift=*/32, &cmds);
-      for (DisplayCommand& cmd : encoder.EncodeDamage(fb, residual)) {
-        cmds.push_back(std::move(cmd));
-      }
-      for (DisplayCommand& cmd : cmds) {
-        stream.push_back(std::move(cmd));
-      }
-    }
-    return stream;
-  };
-
-  const auto tiers = AllTiers();
-  const std::vector<DisplayCommand> want = run_pipeline(tiers[0]);
-  EXPECT_FALSE(want.empty());
-  for (size_t t = 1; t < tiers.size(); ++t) {
-    const std::vector<DisplayCommand> got = run_pipeline(tiers[t]);
-    ASSERT_EQ(got.size(), want.size()) << KernelTierName(tiers[t]->tier);
-    for (size_t i = 0; i < want.size(); ++i) {
-      ASSERT_EQ(got[i], want[i])
-          << KernelTierName(tiers[t]->tier) << " command " << i;
     }
   }
 }
