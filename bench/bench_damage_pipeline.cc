@@ -28,7 +28,7 @@
 #include "src/codec/damage_tracker.h"
 #include "src/codec/decoder.h"
 #include "src/codec/encoder.h"
-#include "src/codec/row_hash.h"
+#include "src/fb/row_hash.h"
 #include "src/obs/bench_report.h"
 #include "src/obs/trace.h"
 #include "src/util/check.h"

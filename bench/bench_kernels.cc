@@ -1,4 +1,4 @@
-// Throughput of the per-row pixel loops (src/codec/row_ops.h, src/codec/row_hash.h and
+// Throughput of the per-row pixel loops (src/codec/row_ops.h, src/fb/row_hash.h and
 // RgbToYuv), plus the deterministic parity checksums the bench_diff gate pins.
 //
 // Each loop processes SLIM_KB_ROWS rows of SLIM_KB_WIDTH pixels (best of SLIM_KB_REPS
@@ -30,9 +30,9 @@
 #include <string>
 #include <vector>
 
-#include "src/codec/row_hash.h"
 #include "src/codec/row_ops.h"
 #include "src/color/yuv.h"
+#include "src/fb/row_hash.h"
 #include "src/obs/bench_report.h"
 #include "src/obs/trace.h"
 #include "src/quake/raycaster.h"

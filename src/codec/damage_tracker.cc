@@ -6,8 +6,8 @@
 #include <cstring>
 
 #include "src/codec/encoder.h"
-#include "src/codec/row_hash.h"
 #include "src/codec/row_ops.h"
+#include "src/fb/row_hash.h"
 #include "src/util/check.h"
 
 namespace slim {

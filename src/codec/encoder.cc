@@ -5,8 +5,8 @@
 #include <unordered_map>
 #include <vector>
 
-#include "src/codec/row_hash.h"
 #include "src/codec/row_ops.h"
+#include "src/fb/row_hash.h"
 #include "src/util/check.h"
 
 namespace slim {

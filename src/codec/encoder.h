@@ -105,7 +105,7 @@ class Encoder {
   EncoderOptions options_;
 };
 
-// Optional precomputed row hashes for DetectVerticalScroll: RowHash64 (src/codec/row_hash.h)
+// Optional precomputed row hashes for DetectVerticalScroll: RowHash64 (src/fb/row_hash.h)
 // of each FULL row of the respective framebuffer, indexed by absolute y. The damage
 // tracker maintains exactly these for its shadow (before) and computes them for the
 // current frame (after) anyway, so passing them saves the detector both hashing passes.

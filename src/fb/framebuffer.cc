@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "src/fb/row_hash.h"
 #include "src/util/check.h"
 
 namespace slim {
@@ -93,14 +94,7 @@ void Framebuffer::ReadPixels(const Rect& r, std::vector<Pixel>* out) const {
   }
 }
 
-uint64_t Framebuffer::ContentHash() const {
-  uint64_t hash = 0xcbf29ce484222325ull;
-  for (const Pixel p : data_) {
-    hash ^= p;
-    hash *= 0x100000001b3ull;
-  }
-  return hash;
-}
+uint64_t Framebuffer::ContentHash() const { return RowHash64(data_); }
 
 Framebuffer::Diff Framebuffer::DiffWith(const Framebuffer& other) const {
   SLIM_CHECK(width_ == other.width_ && height_ == other.height_);

@@ -81,7 +81,8 @@ class Framebuffer {
     return {data_.data() + static_cast<size_t>(y) * width_ + x0, static_cast<size_t>(w)};
   }
 
-  // FNV-1a hash of the full contents; used by tests to compare server/console state.
+  // RowHash64 (src/fb/row_hash.h) of the full contents in row-major order; used to
+  // compare server and console state.
   uint64_t ContentHash() const;
 
   // Exact per-pixel difference between two same-sized framebuffers, reported as a region of

@@ -14,7 +14,8 @@ namespace {
 
 constexpr uint8_t kFragmentMagic = 0x5f;
 constexpr uint8_t kBatchMagic = 0x5e;
-// Every datagram: magic, then a u32 FNV-1a checksum of everything after the checksum field.
+// Every datagram: magic, then a u32 FramingChecksum (XXH32) of everything after the
+// checksum field.
 constexpr size_t kChecksumBytes = 4;
 // Fragment datagram: magic, checksum, index, count, msg_seq.
 constexpr size_t kFragmentHeaderBytes = 1 + kChecksumBytes + 2 + 2 + 8;
@@ -35,7 +36,8 @@ constexpr int kNackMaxStrikes = 6;
 // [magic][checksum placeholder][covered bytes...].
 std::vector<uint8_t> SealDatagram(ByteWriter w) {
   std::vector<uint8_t> bytes = w.Take();
-  const uint32_t sum = Fnv1a32(std::span<const uint8_t>(bytes).subspan(1 + kChecksumBytes));
+  const uint32_t sum =
+      FramingChecksum(std::span<const uint8_t>(bytes).subspan(1 + kChecksumBytes));
   for (size_t i = 0; i < kChecksumBytes; ++i) {
     bytes[1 + i] = static_cast<uint8_t>(sum >> (8 * i));
   }
@@ -272,7 +274,7 @@ void SlimEndpoint::OnDatagram(Datagram dgram) {
     return;
   }
   const uint32_t checksum = r.U32();
-  if (!r.ok() || Fnv1a32(r.Rest()) != checksum) {
+  if (!r.ok() || FramingChecksum(r.Rest()) != checksum) {
     ++stats_.datagrams_corrupted;
     return;
   }

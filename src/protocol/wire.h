@@ -57,10 +57,12 @@ class ByteReader {
   bool ok_ = true;
 };
 
-// 32-bit FNV-1a over a byte span. The transport stamps every datagram with this so that
-// corrupted or truncated datagrams are detected, counted and dropped instead of being
-// parsed as protocol bytes (the fabric's chaos layer flips and chops bytes on purpose).
-uint32_t Fnv1a32(std::span<const uint8_t> data);
+// The transport's framing checksum: XXH32 with seed 0 over a byte span. The transport
+// stamps every datagram with this so that corrupted or truncated datagrams are detected,
+// counted and dropped instead of being parsed as protocol bytes (the fabric's chaos layer
+// flips and chops bytes on purpose). XXH32 mixes the length in, so a tail chopped off
+// zero bytes still changes the sum.
+uint32_t FramingChecksum(std::span<const uint8_t> data);
 
 }  // namespace slim
 

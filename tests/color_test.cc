@@ -336,7 +336,7 @@ TEST(CscsTest, PackedSizeMatchesPredictedSize) {
   Rng rng(9);
   for (const CscsDepth depth : {CscsDepth::k16, CscsDepth::k12, CscsDepth::k8, CscsDepth::k6,
                                 CscsDepth::k5}) {
-    for (const auto [w, h] : {std::pair{17, 9}, std::pair{64, 48}, std::pair{3, 3}}) {
+    for (const auto& [w, h] : {std::pair{17, 9}, std::pair{64, 48}, std::pair{3, 3}}) {
       YuvImage image(w, h);
       for (int32_t y = 0; y < h; ++y) {
         for (int32_t x = 0; x < w; ++x) {

@@ -4,6 +4,7 @@
 
 #include "src/fb/framebuffer.h"
 #include "src/fb/geometry.h"
+#include "src/fb/row_hash.h"
 #include "src/util/rng.h"
 
 namespace slim {
@@ -228,12 +229,42 @@ TEST(FramebufferTest, CopyFromOutsideBoundsReadsBlack) {
   EXPECT_EQ(fb.GetPixel(0, 0), kBlack);
 }
 
-TEST(FramebufferTest, ContentHashDetectsAnySinglePixelChange) {
-  Framebuffer a(64, 64);
-  Framebuffer b(64, 64);
+TEST(FramebufferTest, ContentHashIsRowHashOfAllPixels) {
+  Framebuffer fb(13, 7);
+  Rng rng(5);
+  for (int32_t y = 0; y < fb.height(); ++y) {
+    for (int32_t x = 0; x < fb.width(); ++x) {
+      fb.PutPixel(x, y, static_cast<Pixel>(rng.NextBelow(1u << 24)));
+    }
+  }
+  EXPECT_EQ(fb.ContentHash(), RowHash64(fb.data()));
+}
+
+TEST(FramebufferTest, ContentHashEqualForIdenticalContents) {
+  // Same pixels reached by different writes.
+  Framebuffer a(40, 30, kWhite);
+  a.Fill(Rect{5, 5, 10, 10}, MakePixel(1, 2, 3));
+  Framebuffer b(40, 30);
+  b.Fill(Rect{0, 0, 40, 30}, kWhite);
+  for (int32_t y = 5; y < 15; ++y) {
+    for (int32_t x = 5; x < 15; ++x) {
+      b.PutPixel(x, y, MakePixel(1, 2, 3));
+    }
+  }
   EXPECT_EQ(a.ContentHash(), b.ContentHash());
-  b.PutPixel(63, 63, MakePixel(0, 0, 1));
-  EXPECT_NE(a.ContentHash(), b.ContentHash());
+}
+
+TEST(FramebufferTest, ContentHashDetectsAnySinglePixelChange) {
+  // 7x5 = 35 pixels, not a multiple of the hash's 4 lanes: covers each lane and the tail.
+  const Framebuffer base(7, 5, MakePixel(9, 8, 7));
+  const uint64_t base_hash = base.ContentHash();
+  for (int32_t y = 0; y < base.height(); ++y) {
+    for (int32_t x = 0; x < base.width(); ++x) {
+      Framebuffer changed = base;
+      changed.PutPixel(x, y, MakePixel(9, 8, 6));
+      EXPECT_NE(changed.ContentHash(), base_hash) << "x=" << x << " y=" << y;
+    }
+  }
 }
 
 TEST(FramebufferTest, DiffWithFindsExactDamage) {

@@ -1,4 +1,4 @@
-// Parity properties of the per-row pixel loops (src/codec/row_ops.h, src/codec/row_hash.h,
+// Parity properties of the per-row pixel loops (src/codec/row_ops.h, src/fb/row_hash.h,
 // RgbToYuv in src/color/yuv.h). ScanColors and PackBitmapRow have an SSE2 body on x86;
 // it must be bit-identical to the exported scalar reference on every input, because the
 // encoder's wire bytes may not depend on the build target. The loops without a vector
@@ -18,9 +18,9 @@
 #include <iterator>
 #include <vector>
 
-#include "src/codec/row_hash.h"
 #include "src/codec/row_ops.h"
 #include "src/color/yuv.h"
+#include "src/fb/row_hash.h"
 #include "src/util/rng.h"
 
 namespace slim {

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string_view>
+
 #include "src/net/fabric.h"
 #include "src/net/transport.h"
 #include "src/protocol/wire.h"
@@ -23,7 +26,7 @@ std::vector<uint8_t> FrameFragment(uint16_t index, uint16_t count, uint64_t msg_
   w.U64(msg_seq);
   w.Bytes(payload);
   std::vector<uint8_t> bytes = w.Take();
-  const uint32_t sum = Fnv1a32(std::span<const uint8_t>(bytes).subspan(5));
+  const uint32_t sum = FramingChecksum(std::span<const uint8_t>(bytes).subspan(5));
   for (int i = 0; i < 4; ++i) {
     bytes[1 + i] = static_cast<uint8_t>(sum >> (8 * i));
   }
@@ -415,6 +418,51 @@ TEST(TransportTest, ChecksumRejectsFlippedAndTruncatedBytes) {
   fabric.Send(Datagram{a.node(), b.node(), genuine});
   sim.Run();
   EXPECT_EQ(received, 1);
+}
+
+TEST(TransportTest, ChecksumRejectsTruncatedZeroTail) {
+  // A datagram whose covered bytes end in zero bytes, chopped by 1-4 bytes: a checksum
+  // that ignored the length could let trailing zeros go missing unnoticed.
+  Simulator sim;
+  Fabric fabric(&sim, {});
+  SlimEndpoint a(&fabric, fabric.AddNode());
+  SlimEndpoint b(&fabric, fabric.AddNode());
+  std::vector<Message> delivered;
+  b.set_handler([&](const Message& m, NodeId) { delivered.push_back(m); });
+  Message msg;
+  msg.session_id = 1;
+  msg.seq = 1;
+  SetCommand cmd;
+  cmd.dst = Rect{0, 0, 4, 4};
+  cmd.rgb.assign(4 * 4 * 3, 0);
+  msg.body = cmd;
+  const std::vector<uint8_t> framed = FrameFragment(0, 1, msg.seq, SerializeMessage(msg));
+  ASSERT_TRUE(std::all_of(framed.end() - 4, framed.end(), [](uint8_t v) { return v == 0; }));
+
+  for (size_t chop = 1; chop <= 4; ++chop) {
+    fabric.Send(Datagram{a.node(), b.node(),
+                         std::vector<uint8_t>(framed.begin(), framed.end() - chop)});
+  }
+  sim.Run();
+  EXPECT_TRUE(delivered.empty());
+  EXPECT_EQ(b.stats().datagrams_corrupted, 4);
+
+  fabric.Send(Datagram{a.node(), b.node(), framed});
+  sim.Run();
+  ASSERT_EQ(delivered.size(), 1u);
+  EXPECT_EQ(std::get<SetCommand>(delivered[0].body), cmd);
+}
+
+TEST(FramingChecksumTest, MatchesXxh32ReferenceVectors) {
+  const auto sum = [](std::string_view text) {
+    return FramingChecksum(
+        std::span<const uint8_t>(reinterpret_cast<const uint8_t*>(text.data()), text.size()));
+  };
+  EXPECT_EQ(sum(""), 0x02CC5D05u);
+  EXPECT_EQ(sum("a"), 0x550D7456u);
+  EXPECT_EQ(sum("abc"), 0x32D153FFu);
+  // 39 bytes: two 16-byte stripes, one 4-byte word and a 3-byte tail.
+  EXPECT_EQ(sum("Nobody inspects the spammish repetition"), 0xE2293B2Fu);
 }
 
 TEST(TransportTest, StaleReplayBelowDedupWindowIsStillSuppressed) {
