@@ -1,44 +1,29 @@
 // Shared helpers for the figure/table harnesses.
 //
-// Every harness prints the paper-style rows for one table or figure. Scale knobs come from
-// the environment so the default run finishes in seconds while a paper-scale run
+// Every harness prints the paper-style rows for its tables or figures. Scale knobs come
+// from the environment so the default run finishes in seconds while a paper-scale run
 // (SLIM_USERS=50 SLIM_MINUTES=10) reproduces the full study:
 //
 //   SLIM_USERS    simulated users per application      (default 12, paper 50)
 //   SLIM_MINUTES  simulated minutes per user session   (default 5, paper 10)
 //   SLIM_SECONDS  horizon for sharing experiments      (default 60)
 //
-// Alongside the text, every harness writes BENCH_<name>.json through BenchReporter (see
-// src/obs/bench_report.h) into $SLIM_BENCH_DIR (cwd by default), and the harnesses that
-// drive full sessions honor SLIM_TRACE=<path.json> via ScopedTraceFromEnv.
+// Alongside the text, every harness writes BENCH_<name>.json reports through BenchReporter
+// (see src/obs/bench_report.h) into $SLIM_BENCH_DIR (cwd by default), and the harnesses
+// that drive full sessions honor SLIM_TRACE=<path.json> via ScopedTraceFromEnv.
 
 #ifndef BENCH_BENCH_UTIL_H_
 #define BENCH_BENCH_UTIL_H_
 
 #include <cstdio>
-#include <cstdlib>
-#include <string>
-#include <vector>
 
 #include "src/obs/bench_report.h"
 #include "src/obs/trace.h"
-#include "src/workload/user_study.h"
 
 namespace slim {
 
 // EnvInt (strtol-validated, warns and falls back on garbage) comes from
 // src/obs/bench_report.h so the library and the harnesses parse knobs identically.
-
-inline int StudyUsers() { return EnvInt("SLIM_USERS", 12); }
-inline SimDuration StudyDuration() {
-  return Seconds(60L * EnvInt("SLIM_MINUTES", 5));
-}
-
-inline std::vector<UserSessionResult> RunStudyFor(AppKind kind) {
-  std::fprintf(stderr, "[study] %s: %d users x %d min...\n", AppKindName(kind), StudyUsers(),
-               EnvInt("SLIM_MINUTES", 5));
-  return RunUserStudy(kind, StudyUsers(), StudyDuration(), 0xbe9c5 + static_cast<int>(kind));
-}
 
 inline void PrintHeader(const char* title, const char* paper_reference) {
   std::printf("==============================================================\n");

@@ -1,16 +1,17 @@
 # bench_diff_smoke: reruns one deterministic harness at the pinned baseline scale and
-# gates it against the committed report in bench/baselines/ via bench_diff. Invoked by
-# ctest (see top-level CMakeLists.txt) as:
+# gates each report it writes against the committed report in bench/baselines/ via
+# bench_diff. Invoked by ctest (see top-level CMakeLists.txt) as:
 #
-#   cmake -DHARNESS=<path> -DBENCH_DIFF=<path> -DBASELINE=<path> -DOUT_DIR=<scratch>
+#   cmake -DHARNESS=<path> -DBENCH_DIFF=<path> -DBASELINE_DIR=<dir>
+#         -DBASELINES=<a.json,b.json,...> -DOUT_DIR=<scratch> [-DDIFF_SKIPS=<s1,s2,...>]
 #         -P bench_diff_smoke.cmake
 #
-# The simulation is deterministic, so the committed baseline reproduces bit-for-bit on any
+# The simulation is deterministic, so the committed baselines reproduce bit-for-bit on any
 # box with the same toolchain; a tiny tolerance absorbs JSON double round-tripping. To
-# refresh the baseline after an intentional behavior change, rerun the harness with the
+# refresh a baseline after an intentional behavior change, rerun the harness with the
 # env below and copy the report over bench/baselines/ (bench_diff prints the drift).
 
-foreach(var HARNESS BENCH_DIFF BASELINE OUT_DIR)
+foreach(var HARNESS BENCH_DIFF BASELINE_DIR BASELINES OUT_DIR)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "bench_diff_smoke: ${var} not set")
   endif()
@@ -21,17 +22,16 @@ endforeach()
 # deterministic metrics with machine-dependent timing metrics (bench_kernels gates its
 # parity checksums while its GB/s and speedup numbers vary by host).
 set(skip_args "")
-if(DEFINED DIFF_SKIPS)
-  string(REPLACE "," ";" skip_list "${DIFF_SKIPS}")
-  foreach(skip ${skip_list})
-    list(APPEND skip_args --skip ${skip})
-  endforeach()
-endif()
+string(REPLACE "," ";" skip_list "${DIFF_SKIPS}")
+foreach(skip ${skip_list})
+  list(APPEND skip_args --skip ${skip})
+endforeach()
 
+file(REMOVE_RECURSE ${OUT_DIR})
 file(MAKE_DIRECTORY ${OUT_DIR})
 get_filename_component(name ${HARNESS} NAME)
 
-# Pinned scale: must stay in lockstep with the committed baseline's `scale` block
+# Pinned scale: must stay in lockstep with the committed baselines' `scale` block
 # (bench_diff refuses to compare mismatched knobs).
 execute_process(
   COMMAND ${CMAKE_COMMAND} -E env
@@ -44,13 +44,16 @@ if(NOT rc EQUAL 0)
   message(FATAL_ERROR "bench_diff_smoke: ${name} exited with ${rc}")
 endif()
 
-get_filename_component(report ${BASELINE} NAME)
-execute_process(
-  COMMAND ${BENCH_DIFF} --tol 0.000001 ${skip_args} ${BASELINE} ${OUT_DIR}/${report}
-  RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR
-    "bench_diff_smoke: ${name} drifted from bench/baselines/${report} (${rc}); if the "
-    "change is intentional, regenerate the baseline at the pinned scale")
-endif()
-message(STATUS "bench_diff_smoke: ${name} matches ${report}")
+string(REPLACE "," ";" baseline_list "${BASELINES}")
+foreach(report ${baseline_list})
+  execute_process(
+    COMMAND ${BENCH_DIFF} --tol 0.000001 ${skip_args} ${BASELINE_DIR}/${report}
+      ${OUT_DIR}/${report}
+    RESULT_VARIABLE rc)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR
+      "bench_diff_smoke: ${name} drifted from bench/baselines/${report} (${rc}); if the "
+      "change is intentional, regenerate the baselines at the pinned scale")
+  endif()
+endforeach()
+message(STATUS "bench_diff_smoke: ${name} matches ${BASELINES}")

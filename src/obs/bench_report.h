@@ -31,7 +31,7 @@ class BenchReporter {
   // schema drift fails CI instead of silently producing unparseable trajectories.
   static constexpr int64_t kSchemaVersion = 1;
 
-  // `name` identifies the harness (e.g. "fig7_service_times"); the report lands at
+  // `name` identifies the report (e.g. "fig7_service_times"); the report lands at
   // $SLIM_BENCH_DIR/BENCH_<name>.json (cwd when SLIM_BENCH_DIR is unset). The standard
   // scale knobs (SLIM_USERS, SLIM_MINUTES, SLIM_SECONDS) are captured automatically;
   // harness-specific knobs are added with Knob().

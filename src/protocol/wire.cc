@@ -98,6 +98,15 @@ std::vector<uint8_t> ByteReader::Bytes(size_t n) {
   return out;
 }
 
+std::span<const uint8_t> ByteReader::View(size_t n) {
+  if (!Need(n)) {
+    return {};
+  }
+  const std::span<const uint8_t> out = data_.subspan(pos_, n);
+  pos_ += n;
+  return out;
+}
+
 uint32_t FramingChecksum(std::span<const uint8_t> data) {
   // XXH32 with seed 0.
   constexpr uint32_t kPrime1 = 0x9e3779b1u;

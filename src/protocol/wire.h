@@ -41,6 +41,8 @@ class ByteReader {
   int32_t I32() { return static_cast<int32_t>(U32()); }
   int64_t I64() { return static_cast<int64_t>(U64()); }
   std::vector<uint8_t> Bytes(size_t n);
+  // Consumes n bytes and returns them in place, without a copy (empty when short).
+  std::span<const uint8_t> View(size_t n);
 
   bool ok() const { return ok_; }
   size_t remaining() const { return data_.size() - pos_; }

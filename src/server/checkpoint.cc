@@ -1,6 +1,7 @@
 #include "src/server/checkpoint.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "src/codec/damage_tracker.h"
@@ -18,18 +19,33 @@ namespace {
 constexpr int32_t kMaxDimension = 16384;
 constexpr uint32_t kMaxDamageRects = 1u << 16;
 
+// Pixel sections are one little-endian byte block: a straight copy on little-endian hosts,
+// a per-pixel byte swap elsewhere.
 void WritePixels(ByteWriter& w, std::span<const Pixel> pixels) {
-  for (const Pixel p : pixels) {
-    w.U32(p);
+  if constexpr (std::endian::native == std::endian::little) {
+    w.Bytes({reinterpret_cast<const uint8_t*>(pixels.data()), pixels.size_bytes()});
+  } else {
+    for (const Pixel p : pixels) {
+      w.U32(p);
+    }
   }
 }
 
 bool ReadPixels(ByteReader& r, size_t n, std::vector<Pixel>* out) {
-  out->resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    (*out)[i] = r.U32();
+  const std::span<const uint8_t> bytes = r.View(n * sizeof(Pixel));
+  if (!r.ok()) {
+    return false;
   }
-  return r.ok();
+  out->resize(n);
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(out->data(), bytes.data(), bytes.size());
+  } else {
+    ByteReader block(bytes);
+    for (Pixel& p : *out) {
+      p = block.U32();
+    }
+  }
+  return true;
 }
 
 }  // namespace

@@ -121,6 +121,46 @@ TEST(CheckpointTest, EveryTruncationIsRejected) {
   EXPECT_FALSE(DecodeCheckpoint(padded).has_value());
 }
 
+// Round trips cannot see a layout change that encode and decode make together, so the
+// pixel sections' bytes are pinned: each pixel is 4 little-endian bytes, row-major.
+TEST(CheckpointTest, PixelSectionsAreLittleEndianAtFixedOffsets) {
+  SessionCheckpoint ckpt;
+  ckpt.width = 3;
+  ckpt.height = 2;
+  ckpt.fb_pixels = {0x00112233, 0x00445566, 0x00778899, 0x00AABBCC, 0x00DDEEFF, 0x00010203};
+  ckpt.tracker_present = true;
+  ckpt.tracker_valid = true;
+  ckpt.shadow_row_hashes = {1, 2};
+  ckpt.shadow_pixels = {0x00FEDCBA, 0x00987654, 0x00321000, 0x00F0E0D0, 0x00C0B0A0,
+                        0x00090807};
+  const std::vector<uint8_t> blob = EncodeCheckpoint(ckpt);
+
+  // 16-byte header (magic, version, body length), then origin_session (4), card_id (8),
+  // lifecycle_state (1), console_send_seq (8), width (4) and height (4).
+  constexpr size_t kFbOffset = 16 + 4 + 8 + 1 + 8 + 4 + 4;
+  const std::vector<uint8_t> fb_bytes = {
+      0x33, 0x22, 0x11, 0x00, 0x66, 0x55, 0x44, 0x00, 0x99, 0x88, 0x77, 0x00,
+      0xCC, 0xBB, 0xAA, 0x00, 0xFF, 0xEE, 0xDD, 0x00, 0x03, 0x02, 0x01, 0x00};
+  ASSERT_GE(blob.size(), kFbOffset + fb_bytes.size());
+  EXPECT_EQ(std::vector<uint8_t>(blob.begin() + kFbOffset,
+                                 blob.begin() + kFbOffset + fb_bytes.size()),
+            fb_bytes);
+
+  // After the fb section: tracker_present (1), tracker_valid (1), one row hash per row (8).
+  constexpr size_t kShadowOffset = kFbOffset + 6 * 4 + 1 + 1 + 2 * 8;
+  const std::vector<uint8_t> shadow_bytes = {
+      0xBA, 0xDC, 0xFE, 0x00, 0x54, 0x76, 0x98, 0x00, 0x00, 0x10, 0x32, 0x00,
+      0xD0, 0xE0, 0xF0, 0x00, 0xA0, 0xB0, 0xC0, 0x00, 0x07, 0x08, 0x09, 0x00};
+  ASSERT_GE(blob.size(), kShadowOffset + shadow_bytes.size());
+  EXPECT_EQ(std::vector<uint8_t>(blob.begin() + kShadowOffset,
+                                 blob.begin() + kShadowOffset + shadow_bytes.size()),
+            shadow_bytes);
+
+  const std::optional<SessionCheckpoint> decoded = DecodeCheckpoint(blob);
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(*decoded, ckpt);
+}
+
 TEST(CheckpointTest, VersionAndMagicMismatchesAreRejected) {
   const SessionCheckpoint ckpt = SyntheticCheckpoint();
   std::vector<uint8_t> blob = EncodeCheckpoint(ckpt);
