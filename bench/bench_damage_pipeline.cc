@@ -10,8 +10,8 @@
 //               the encoder only sees the residual.
 // Both streams are applied to replica framebuffers and CHECKed for bit-exact convergence,
 // so the speedup numbers are for equivalent, correct output. A second section times the
-// hash-indexed scroll detector against the retired probe-based reference on the same
-// frames (their results are CHECKed equal).
+// hash-indexed scroll detector against the retired probe-based reference
+// (tests/support/scroll_probe.h) on the same frames (their results are CHECKed equal).
 //
 // Knobs: SLIM_DP_FRAMES (timed frames, default 40), SLIM_DP_WIDTH/HEIGHT (default
 // 1280x1024), SLIM_DP_REPS (detector timing reps, default 25). Expect the refined
@@ -33,6 +33,7 @@
 #include "src/obs/trace.h"
 #include "src/util/check.h"
 #include "src/util/rng.h"
+#include "tests/support/scroll_probe.h"
 
 namespace slim {
 namespace {

@@ -7,6 +7,7 @@
 // SLIM_TRACE=out.json captures every study session as one Chrome trace.
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -287,6 +288,37 @@ std::vector<SimDuration> QueueDelays(const std::vector<Packet>& packets, int64_t
   return delays;
 }
 
+// Quantiles of added packet delays read exactly as a Histogram(0, 60000 ms, 0.01 ms) would
+// read them (the paper's 0.01 ms buckets), without allocating its 6M buckets: each delay
+// keeps only its bucket index, and a quantile is the upper edge of the bucket holding the
+// sample of rank ceil(f * n), which is the first bucket whose running count reaches f * n.
+class DelayQuantiles {
+ public:
+  // Histogram::AddN's bucket arithmetic.
+  void Add(double ms) {
+    const auto idx = static_cast<size_t>(std::clamp(ms, 0.0, kMaxMs) / kBucketMs);
+    buckets_.push_back(std::min(idx, kBuckets - 1));
+  }
+
+  // Histogram::InverseCdf(fraction), fraction in (0, 1].
+  double InverseCdf(double fraction) {
+    if (buckets_.empty()) {
+      return 0.0;
+    }
+    const auto rank = static_cast<size_t>(
+        std::ceil(fraction * static_cast<double>(buckets_.size())));
+    const auto nth = buckets_.begin() + static_cast<std::ptrdiff_t>(rank - 1);
+    std::nth_element(buckets_.begin(), nth, buckets_.end());
+    return static_cast<double>(*nth + 1) * kBucketMs;
+  }
+
+ private:
+  static constexpr double kMaxMs = 60'000.0;
+  static constexpr double kBucketMs = 0.01;
+  static inline const size_t kBuckets = static_cast<size_t>(std::ceil(kMaxMs / kBucketMs));
+  std::vector<size_t> buckets_;
+};
+
 struct Fig6BandwidthScaling {
   BenchReporter report{"fig6_bandwidth_scaling", "Added packet delays at reduced link bandwidth"};
   std::string text;
@@ -322,7 +354,7 @@ struct Fig6BandwidthScaling {
         {"56 Kbps", "56kbps", 56'000, "painful"},
     };
     for (const Level& level : levels) {
-      Histogram cdf(0.0, 60'000.0, 0.01);  // added delay in ms, paper's 0.01 ms buckets
+      DelayQuantiles cdf;  // added delay in ms
       int64_t over_50 = 0;
       int64_t over_100 = 0;
       int64_t pace_delayed = 0;  // packets the shaper actually held, as in txq.pace_delayed

@@ -10,6 +10,9 @@
 # box with the same toolchain; a tiny tolerance absorbs JSON double round-tripping. To
 # refresh a baseline after an intentional behavior change, rerun the harness with the
 # env below and copy the report over bench/baselines/ (bench_diff prints the drift).
+#
+# The harness also runs a second time, and its reports must equal the first run's exactly
+# (bench_diff --tol 0.0, same skips): the same binary with the same knobs is deterministic.
 
 foreach(var HARNESS BENCH_DIFF BASELINE_DIR BASELINES OUT_DIR)
   if(NOT DEFINED ${var})
@@ -33,16 +36,21 @@ get_filename_component(name ${HARNESS} NAME)
 
 # Pinned scale: must stay in lockstep with the committed baselines' `scale` block
 # (bench_diff refuses to compare mismatched knobs).
-execute_process(
-  COMMAND ${CMAKE_COMMAND} -E env
-    SLIM_USERS=2 SLIM_MINUTES=1 SLIM_SECONDS=5 SLIM_SOAK_EVENTS=20
-    SLIM_BENCH_DIR=${OUT_DIR}
-    ${HARNESS}
-  RESULT_VARIABLE rc
-  OUTPUT_QUIET)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "bench_diff_smoke: ${name} exited with ${rc}")
-endif()
+function(run_harness out_dir)
+  execute_process(
+    COMMAND ${CMAKE_COMMAND} -E env
+      SLIM_USERS=2 SLIM_MINUTES=1 SLIM_SECONDS=5 SLIM_SOAK_EVENTS=20
+      SLIM_BENCH_DIR=${out_dir}
+      ${HARNESS}
+    RESULT_VARIABLE rc
+    OUTPUT_QUIET)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "bench_diff_smoke: ${name} exited with ${rc}")
+  endif()
+endfunction()
+run_harness(${OUT_DIR})
+file(MAKE_DIRECTORY ${OUT_DIR}/rerun)
+run_harness(${OUT_DIR}/rerun)
 
 string(REPLACE "," ";" baseline_list "${BASELINES}")
 foreach(report ${baseline_list})
@@ -54,6 +62,15 @@ foreach(report ${baseline_list})
     message(FATAL_ERROR
       "bench_diff_smoke: ${name} drifted from bench/baselines/${report} (${rc}); if the "
       "change is intentional, regenerate the baselines at the pinned scale")
+  endif()
+  execute_process(
+    COMMAND ${BENCH_DIFF} --tol 0.0 ${skip_args} ${OUT_DIR}/${report}
+      ${OUT_DIR}/rerun/${report}
+    RESULT_VARIABLE rc)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR
+      "bench_diff_smoke: a second run of ${name} wrote a different ${report} (${rc}); "
+      "the harness is not deterministic")
   endif()
 endforeach()
 message(STATUS "bench_diff_smoke: ${name} matches ${BASELINES}")

@@ -50,14 +50,17 @@ bool DamageTrackerFromEnv(bool fallback) {
 }
 
 DamageTracker::DamageTracker(int32_t width, int32_t height)
-    : shadow_(width, height), row_hashes_(static_cast<size_t>(height)) {
-  for (int32_t y = 0; y < height; ++y) {
-    RehashRow(y);
-  }
-}
+    : shadow_(width, height),
+      row_hashes_(static_cast<size_t>(height)),
+      row_stale_(static_cast<size_t>(height), uint8_t{1}) {}
 
-void DamageTracker::RehashRow(int32_t y) {
-  row_hashes_[static_cast<size_t>(y)] = RowHash64(shadow_.Row(y));
+uint64_t DamageTracker::row_hash(int32_t y) const {
+  const size_t i = static_cast<size_t>(y);
+  if (row_stale_[i]) {
+    row_hashes_[i] = RowHash64(shadow_.Row(y));
+    row_stale_[i] = 0;
+  }
+  return row_hashes_[i];
 }
 
 void DamageTracker::CopySpans(const Framebuffer& fb, int32_t y0, int32_t y1, int32_t x0,
@@ -65,8 +68,8 @@ void DamageTracker::CopySpans(const Framebuffer& fb, int32_t y0, int32_t y1, int
   for (int32_t y = y0; y < y1; ++y) {
     std::memcpy(shadow_.MutableRow(y, x0, w).data(), fb.Row(y, x0, w).data(),
                 static_cast<size_t>(w) * sizeof(Pixel));
-    RehashRow(y);
   }
+  std::fill(row_stale_.begin() + y0, row_stale_.begin() + y1, uint8_t{1});
 }
 
 void DamageTracker::RestoreShadow(std::span<const Pixel> pixels,
@@ -80,6 +83,7 @@ void DamageTracker::RestoreShadow(std::span<const Pixel> pixels,
                 static_cast<size_t>(width) * sizeof(Pixel));
   }
   std::copy(hashes.begin(), hashes.end(), row_hashes_.begin());
+  std::fill(row_stale_.begin(), row_stale_.end(), uint8_t{0});
   valid_ = valid;
 }
 
@@ -90,6 +94,15 @@ void DamageTracker::SyncRect(const Framebuffer& fb, const Rect& rect) {
     return;
   }
   CopySpans(fb, r.y, r.bottom(), r.x, r.w);
+}
+
+void DamageTracker::FillRect(const Rect& rect, Pixel color) {
+  const Rect r = Intersect(rect, shadow_.bounds());
+  if (r.empty()) {
+    return;
+  }
+  shadow_.Fill(r, color);
+  std::fill(row_stale_.begin() + r.y, row_stale_.begin() + r.bottom(), uint8_t{1});
 }
 
 Region DamageTracker::Refine(const Framebuffer& fb, const Region& damage,
@@ -114,30 +127,28 @@ Region DamageTracker::Refine(const Framebuffer& fb, const Region& damage,
     return damage;
   }
 
-  // Lazily computed full-row hashes of fb. fb is const for the whole call, so these stay
-  // valid even as shadow rows are re-synced (the stored shadow hashes do change).
-  const size_t rows = static_cast<size_t>(shadow_.height());
-  if (fb_row_hashes_.size() != rows) {
-    fb_row_hashes_.assign(rows, 0);
-    fb_row_hashed_.assign(rows, 0);
-  } else {
-    std::fill(fb_row_hashed_.begin(), fb_row_hashed_.end(), uint8_t{0});
+  // Full-row hashes of fb for rows [hashed_y0, hashed_y1), filled in by the full-width
+  // scroll gate below. fb is const for the whole call, so they stay valid even as shadow
+  // rows are re-synced.
+  if (fb_row_hashes_.size() != static_cast<size_t>(shadow_.height())) {
+    fb_row_hashes_.assign(static_cast<size_t>(shadow_.height()), 0);
   }
-  auto fb_hash = [&](int32_t y) {
-    const size_t i = static_cast<size_t>(y);
-    if (!fb_row_hashed_[i]) {
-      fb_row_hashes_[i] = RowHash64(fb.Row(y));
-      fb_row_hashed_[i] = 1;
-    }
-    return fb_row_hashes_[i];
-  };
-  // Syncs the shadow's row y to fb over columns [x0, x0+w) and refreshes the stored row
-  // hash — for free from the fb-hash cache when the synced row now equals fb's full row.
+  int32_t hashed_y0 = 0;
+  int32_t hashed_y1 = 0;
+  const auto fb_hashed = [&](int32_t y) { return y >= hashed_y0 && y < hashed_y1; };
+  // Syncs the shadow's row y to fb over columns [x0, x0+w). When that leaves the whole
+  // shadow row equal to fb's and fb's row hash is known, the row hash comes from it;
+  // otherwise the row goes stale.
   const auto sync_row = [&](int32_t y, int32_t x0, int32_t w, bool row_now_matches_fb) {
     std::memcpy(shadow_.MutableRow(y, x0, w).data(), fb.Row(y, x0, w).data(),
                 static_cast<size_t>(w) * sizeof(Pixel));
-    row_hashes_[static_cast<size_t>(y)] =
-        row_now_matches_fb ? fb_hash(y) : RowHash64(shadow_.Row(y));
+    const size_t i = static_cast<size_t>(y);
+    if (row_now_matches_fb && fb_hashed(y)) {
+      row_hashes_[i] = fb_row_hashes_[i];
+      row_stale_[i] = 0;
+    } else {
+      row_stale_[i] = 1;
+    }
   };
 
   // Scroll salvage: when the damage block looks like the shadow shifted vertically
@@ -147,14 +158,32 @@ Region DamageTracker::Refine(const Framebuffer& fb, const Region& damage,
   if (scroll_out != nullptr && scroll_max_shift > 0) {
     const Rect b = damage.bounds();
     if (b.w >= kScrollMinWidth && b.h >= kScrollMinHeight) {
+      // Count changed rows. The shadow equals fb outside pending damage, so a row
+      // differs somewhere iff it differs over the bounds' columns: a full-width block
+      // compares row hashes (the detector below reuses them as hints), a narrower one
+      // memcmps its columns and stops once the count is decided.
+      const bool full_rows = b.x == 0 && b.w == shadow_.width();
       int32_t dirty_rows = 0;
-      for (int32_t y = b.y; y < b.bottom(); ++y) {
-        dirty_rows += fb_hash(y) != row_hashes_[static_cast<size_t>(y)] ? 1 : 0;
+      if (full_rows) {
+        for (int32_t y = b.y; y < b.bottom(); ++y) {
+          const size_t i = static_cast<size_t>(y);
+          fb_row_hashes_[i] = RowHash64(fb.Row(y));
+          dirty_rows += fb_row_hashes_[i] != row_hash(y) ? 1 : 0;
+        }
+        hashed_y0 = b.y;
+        hashed_y1 = b.bottom();
+      } else {
+        for (int32_t y = b.y; y < b.bottom() && dirty_rows < kScrollMinDirtyRows; ++y) {
+          if (std::memcmp(fb.Row(y, b.x, b.w).data(), shadow_.Row(y, b.x, b.w).data(),
+                          static_cast<size_t>(b.w) * sizeof(Pixel)) != 0) {
+            ++dirty_rows;
+          }
+        }
       }
       if (dirty_rows >= kScrollMinDirtyRows) {
-        // The detector reuses the hashes both sides already have: stored shadow row
-        // hashes as `before`, the gate's cached fb row hashes as `after` (the gate loop
-        // above filled the cache for every row the full-width detector can touch).
+        // A full-width detector reuses the hashes both sides now have: settled shadow
+        // row hashes as `before`, the gate's fb row hashes as `after`. It ignores the
+        // hints for narrower blocks and hashes the block's columns itself.
         const ScrollHashHints hints{row_hashes_, fb_row_hashes_};
         const int32_t dy = DetectVerticalScroll(shadow_, fb, b, scroll_max_shift, &hints);
         if (dy != 0) {
@@ -165,7 +194,6 @@ Region DamageTracker::Refine(const Framebuffer& fb, const Region& damage,
           // mirror it so refinement diffs against the post-copy display state. The
           // detector confirmed fb == shifted shadow over the overlap's rect columns, so
           // copying fb's rows IS applying the COPY — and spares rereading the shadow.
-          const bool full_rows = b.x == 0 && b.w == shadow_.width();
           for (int32_t y = y0; y < y1; ++y) {
             sync_row(y, b.x, b.w, full_rows);
           }
@@ -180,9 +208,11 @@ Region DamageTracker::Refine(const Framebuffer& fb, const Region& damage,
     std::vector<DirtyRun> runs;
     bool collapsed = false;
     for (int32_t y = r.y; y < r.bottom(); ++y) {
-      // Cheap filter first: a full fb row hashing to the shadow's stored hash is
-      // unchanged everywhere, so in particular over this rect's columns.
-      if (fb_hash(y) == row_hashes_[static_cast<size_t>(y)]) {
+      // Cheap filter first, when both hashes are already known: a full fb row hashing
+      // to the shadow's hash is unchanged everywhere, so in particular over this rect's
+      // columns. Hashing a row just for this would cost more than the diff below.
+      const size_t i = static_cast<size_t>(y);
+      if (fb_hashed(y) && !row_stale_[i] && fb_row_hashes_[i] == row_hashes_[i]) {
         continue;
       }
       const std::span<const Pixel> cur = fb.Row(y, r.x, r.w);
@@ -192,11 +222,10 @@ Region DamageTracker::Refine(const Framebuffer& fb, const Region& damage,
       int32_t lo = 0;
       int32_t hi = r.w;  // exclusive
       if (!RowDiffSpan(cur.data(), old.data(), cur.size(), &lo, &hi)) {
-        continue;  // the change is on this row but outside this rect
+        continue;  // nothing changed in this rect's columns
       }
-      // Bring the shadow up to date for this row before moving on; fb hashes are cached,
-      // so later rects sharing the row still compare correctly. A full-width rect leaves
-      // the whole shadow row equal to fb's, so its hash comes from the cache.
+      // Bring the shadow up to date for this row before moving on. A full-width rect
+      // leaves the whole shadow row equal to fb's.
       sync_row(y, r.x + lo, hi - lo, r.x == 0 && r.w == shadow_.width());
 
       if (!runs.empty() && runs.back().y1 == y) {

@@ -126,18 +126,11 @@ struct ScrollHashHints {
 // shifts; candidates whose votes cover the entire overlap are then confirmed by row memcmp
 // in the same smallest-|dy|-first, negative-before-positive preference order the
 // probe-based detector used, so the two agree on every input (property-tested in
-// tests/damage_tracker_test.cc). Cost no longer scales with max_shift: the per-magnitude
-// pixel probing is gone.
+// tests/damage_tracker_test.cc against tests/support/scroll_probe.h). Cost no longer
+// scales with max_shift: the per-magnitude pixel probing is gone.
 int32_t DetectVerticalScroll(const Framebuffer& before, const Framebuffer& after,
                              const Rect& rect, int32_t max_shift,
                              const ScrollHashHints* hints = nullptr);
-
-// The original probe-grid detector: tries every magnitude in [1, max_shift], sampling a
-// sparse 16x16 probe grid before confirming exhaustively. Kept as the reference
-// implementation the hash-indexed detector is property-tested against (and benchmarked
-// against in bench_damage_pipeline); not used on the serving path.
-int32_t DetectVerticalScrollProbe(const Framebuffer& before, const Framebuffer& after,
-                                  const Rect& rect, int32_t max_shift);
 
 }  // namespace slim
 

@@ -57,14 +57,29 @@ void Framebuffer::ExpandBitmap(const Rect& r, std::span<const uint8_t> bits, Pix
   const size_t stride = (static_cast<size_t>(r.w) + 7) / 8;
   SLIM_CHECK(bits.size() >= stride * static_cast<size_t>(r.h));
   const Rect clipped = Intersect(r, bounds());
+  // Bit b of a row is pixel r.x + b. Only the columns [first, end) land in bounds; whole
+  // bytes expand 8 pixels per step, the unaligned bits at either end one at a time.
+  const int32_t first = clipped.x - r.x;
+  const int32_t end = clipped.right() - r.x;
+  const auto bit = [](const uint8_t* row_bits, int32_t b) {
+    return (row_bits[b >> 3] >> (7 - (b & 7))) & 1;
+  };
   for (int32_t y = clipped.y; y < clipped.bottom(); ++y) {
     const uint8_t* row_bits = &bits[static_cast<size_t>(y - r.y) * stride];
-    Pixel* dst_row = &data_[static_cast<size_t>(y) * width_];
-    for (int32_t x = clipped.x; x < clipped.right(); ++x) {
-      const int32_t bit_index = x - r.x;
-      const uint8_t byte = row_bits[bit_index >> 3];
-      const bool set = (byte >> (7 - (bit_index & 7))) & 1;
-      dst_row[x] = set ? fg : bg;
+    Pixel* dst = &data_[static_cast<size_t>(y) * width_ + clipped.x];
+    int32_t b = first;
+    for (; b < end && (b & 7) != 0; ++b) {
+      *dst++ = bit(row_bits, b) ? fg : bg;
+    }
+    for (; b + 8 <= end; b += 8) {
+      const unsigned byte = row_bits[b >> 3];
+      for (int k = 0; k < 8; ++k) {
+        dst[k] = (byte >> (7 - k)) & 1 ? fg : bg;
+      }
+      dst += 8;
+    }
+    for (; b < end; ++b) {
+      *dst++ = bit(row_bits, b) ? fg : bg;
     }
   }
 }
@@ -73,11 +88,38 @@ void Framebuffer::CopyRect(int32_t src_x, int32_t src_y, const Rect& dst) {
   if (dst.empty()) {
     return;
   }
-  // Stage through a temporary so overlapping copies behave like a simultaneous move; this
-  // matches hardware blitters that pick a copy direction, and is trivially overlap-safe.
-  std::vector<Pixel> staged;
-  ReadPixels(Rect{src_x, src_y, dst.w, dst.h}, &staged);
-  SetPixels(dst, staged);
+  const Rect src{src_x, src_y, dst.w, dst.h};
+  if (!bounds().ContainsRect(src)) {
+    // A source reaching off the framebuffer pads with black, so stage it through a
+    // temporary that ReadPixels black-fills and write the staged block out.
+    std::vector<Pixel> staged;
+    ReadPixels(src, &staged);
+    SetPixels(dst, staged);
+    return;
+  }
+  const Rect clipped = Intersect(dst, bounds());
+  if (clipped.empty()) {
+    return;
+  }
+  // In place, with the result of a simultaneous move: memmove handles overlap within a
+  // row, and rows go bottom-up when the destination lies below the source, so every
+  // source row is read before a destination row overwrites it.
+  const int32_t sx = src_x + (clipped.x - dst.x);
+  const int32_t sy = src_y + (clipped.y - dst.y);
+  const size_t bytes = static_cast<size_t>(clipped.w) * sizeof(Pixel);
+  const auto move_row = [&](int32_t i) {
+    std::memmove(&data_[static_cast<size_t>(clipped.y + i) * width_ + clipped.x],
+                 &data_[static_cast<size_t>(sy + i) * width_ + sx], bytes);
+  };
+  if (clipped.y > sy) {
+    for (int32_t i = clipped.h - 1; i >= 0; --i) {
+      move_row(i);
+    }
+  } else {
+    for (int32_t i = 0; i < clipped.h; ++i) {
+      move_row(i);
+    }
+  }
 }
 
 void Framebuffer::ReadPixels(const Rect& r, std::vector<Pixel>* out) const {

@@ -202,7 +202,7 @@ void ServerSession::FillRect(const Rect& r, Pixel color) {
   QueueCommand(FillCommand{clipped, color});
   if (tracker_ != nullptr) {
     // The FILL bypasses the encoder (and thus refinement), so mirror it into the shadow.
-    tracker_->SyncRect(fb_, clipped);
+    tracker_->FillRect(clipped, color);
   }
 }
 

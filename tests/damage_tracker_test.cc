@@ -5,14 +5,18 @@
 //       region to a replica of the previous frame reproduces the new frame bit-exactly,
 //   (c) the hash-indexed scroll detector agrees with the probe-based reference detector
 //       on randomized scroll / noise / ambiguous inputs,
+//   (d) a lazily settled shadow row hash equals an eager rehash of the row after any mix
+//       of fills, syncs, refinements and restores,
 // plus the session-level contracts: a RepaintAll of an unchanged frame transmits nothing,
-// and a tracker-enabled session transmits an identical stream for every encode thread
-// count (the EncoderPool determinism contract survives refinement).
+// a tracker-enabled session transmits an identical stream for every encode thread count
+// (the EncoderPool determinism contract survives refinement), and after every flush the
+// shadow and its row hashes equal the session framebuffer.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdlib>
+#include <optional>
 #include <vector>
 
 #include "src/apps/content.h"
@@ -20,10 +24,14 @@
 #include "src/codec/decoder.h"
 #include "src/codec/encoder.h"
 #include "src/console/console.h"
+#include "src/fb/row_hash.h"
 #include "src/net/fabric.h"
+#include "src/server/checkpoint.h"
 #include "src/server/slim_server.h"
 #include "src/sim/simulator.h"
 #include "src/util/rng.h"
+#include "src/video/video_source.h"
+#include "tests/support/scroll_probe.h"
 
 namespace slim {
 namespace {
@@ -264,6 +272,69 @@ TEST(DamageTrackerTest, InvalidationPassesDamageThroughUntilFullFrameFlush) {
   EXPECT_TRUE(tracker.Refine(fb, Region(fb.bounds())).empty());
 }
 
+// A rect of random size at a random position, reaching up to `margin` pixels past every
+// edge of a w x h frame.
+Rect RandomRect(Rng* rng, int32_t w, int32_t h, int32_t margin) {
+  return Rect{static_cast<int32_t>(rng->NextInRange(-margin, w)),
+              static_cast<int32_t>(rng->NextInRange(-margin, h)),
+              1 + static_cast<int32_t>(rng->NextBelow(static_cast<uint64_t>(w / 2))),
+              1 + static_cast<int32_t>(rng->NextBelow(static_cast<uint64_t>(h / 2)))};
+}
+
+// Property (d): whatever mix of writes marked rows stale and reads settled them, every
+// row hash the tracker hands out equals RowHash64 of the shadow row. Each step checks a
+// copy of the tracker, so the check itself settles nothing in the tracker under test.
+TEST_P(RefineProperty, LazyRowHashesEqualEagerRehash) {
+  Rng rng(4000 + static_cast<uint64_t>(GetParam()));
+  const int32_t w = 96, h = 72;
+  DamageTracker tracker(w, h);
+  Framebuffer fb(w, h);
+  for (int step = 0; step < 40; ++step) {
+    switch (rng.NextBelow(5)) {
+      case 0: {
+        const Rect r = RandomRect(&rng, w, h, 8);
+        const Pixel color = static_cast<Pixel>(rng.NextU64() & 0xffffff);
+        fb.Fill(r, color);
+        tracker.FillRect(r, color);
+        break;
+      }
+      case 1:
+        MutateRandomly(&fb, &rng, 3);
+        tracker.SyncRect(fb, RandomRect(&rng, w, h, 8));
+        break;
+      case 2: {
+        Region damage = MutateRandomly(&fb, &rng, 3);
+        if (rng.NextBool(0.3)) {
+          damage.Add(fb.bounds());
+        }
+        std::vector<DisplayCommand> scroll_cmds;
+        tracker.Refine(fb, damage, /*scroll_max_shift=*/16, &scroll_cmds);
+        break;
+      }
+      case 3: {
+        Framebuffer restored(w, h);
+        restored.SetPixels(restored.bounds(), MakePhotoBlock(&rng, w, h));
+        std::vector<uint64_t> hashes;
+        for (int32_t y = 0; y < h; ++y) {
+          hashes.push_back(RowHash64(restored.Row(y)));
+        }
+        tracker.RestoreShadow(restored.data(), hashes, true);
+        break;
+      }
+      default:  // settle a few rows, so later steps start from a mix of known and stale
+        for (int i = 0; i < 8; ++i) {
+          tracker.row_hash(static_cast<int32_t>(rng.NextBelow(h)));
+        }
+        break;
+    }
+    const DamageTracker probe = tracker;
+    for (int32_t y = 0; y < h; ++y) {
+      ASSERT_EQ(probe.row_hash(y), RowHash64(probe.shadow().Row(y)))
+          << "step " << step << " row " << y;
+    }
+  }
+}
+
 TEST(DamageTrackerTest, EnvOverrideParsesLikeTheOtherKnobs) {
   ASSERT_EQ(setenv("SLIM_DAMAGE_TRACKER", "0", 1), 0);
   EXPECT_FALSE(DamageTrackerFromEnv(true));
@@ -380,6 +451,129 @@ TEST(DamageTrackerSessionTest, RepaintAllOfUnchangedFrameTransmitsNothing) {
   sim.Run();
   EXPECT_GT(session.commands_sent(), sent);
   EXPECT_EQ(console.framebuffer().ContentHash(), session.framebuffer().ContentHash());
+}
+
+// The invariant the refinement's scroll gate relies on: with pacing off, every flush
+// leaves the damage-tracker shadow equal to the session framebuffer, and every shadow row
+// hash equal to RowHash64 of the framebuffer row. Random streams mix every way the
+// session writes pixels (fills, glyphs, images, in- and out-of-bounds copies, video),
+// loss-recovery repaints and a checkpoint restore.
+TEST(DamageTrackerSessionTest, ShadowEqualsFramebufferAfterEveryFlush) {
+  for (const uint64_t seed : {1ull, 2ull, 3ull, 4ull, 5ull, 6ull}) {
+    Simulator sim;
+    Fabric fabric(&sim, {});
+    ServerOptions options;
+    options.session_width = 160;
+    options.session_height = 120;
+    ASSERT_FALSE(options.pacing.enabled);
+    SlimServer server(&sim, &fabric, options);
+    ConsoleOptions copts;
+    copts.width = options.session_width;
+    copts.height = options.session_height;
+    Console console(&sim, &fabric, copts);
+    const uint64_t card = server.auth().IssueCard(5);
+    ServerSession& session = server.CreateSession(card);
+    console.InsertCard(server.node(), card);
+    sim.Run();
+    ASSERT_TRUE(session.attached());
+
+    const int32_t w = options.session_width, h = options.session_height;
+    Rng rng(seed);
+    const SyntheticVideoSource video(48, 32, seed);
+    std::vector<GlyphBitmap> glyphs(6);
+    for (GlyphBitmap& glyph : glyphs) {
+      glyph.width = 1 + static_cast<int32_t>(rng.NextBelow(17));
+      glyph.height = 1 + static_cast<int32_t>(rng.NextBelow(16));
+      glyph.bits.resize(static_cast<size_t>((glyph.width + 7) / 8 * glyph.height));
+      for (uint8_t& byte : glyph.bits) {
+        byte = static_cast<uint8_t>(rng.NextU64());
+      }
+    }
+    std::optional<SessionCheckpoint> ckpt;
+    const auto expect_in_sync = [&](int step) {
+      const DamageTracker* tracker = session.damage_tracker();
+      ASSERT_NE(tracker, nullptr);
+      const Framebuffer& fb = session.framebuffer();
+      ASSERT_TRUE(std::ranges::equal(tracker->shadow().data(), fb.data()))
+          << "seed " << seed << " step " << step;
+      for (int32_t y = 0; y < h; ++y) {
+        ASSERT_EQ(tracker->row_hash(y), RowHash64(fb.Row(y)))
+            << "seed " << seed << " step " << step << " row " << y;
+      }
+    };
+
+    for (int step = 0; step < 150; ++step) {
+      const Pixel color = static_cast<Pixel>(rng.NextU64() & 0xffffff);
+      switch (rng.NextBelow(8)) {
+        case 0:
+          session.FillRect(RandomRect(&rng, w, h, 16), color);
+          break;
+        case 1: {
+          std::vector<const GlyphBitmap*> text;
+          for (int i = 0, n = 1 + static_cast<int>(rng.NextBelow(8)); i < n; ++i) {
+            text.push_back(&glyphs[rng.NextBelow(glyphs.size())]);
+          }
+          session.DrawGlyphs(static_cast<int32_t>(rng.NextInRange(-20, w)),
+                             static_cast<int32_t>(rng.NextInRange(-10, h)), text, color,
+                             ~color & 0xffffff);
+          break;
+        }
+        case 2: {
+          const Rect r = RandomRect(&rng, w, h, 16);
+          session.PutImage(r, MakePhotoBlock(&rng, r.w, r.h));
+          break;
+        }
+        case 3:  // the source may hang off any edge
+          session.CopyArea(static_cast<int32_t>(rng.NextInRange(-24, w)),
+                           static_cast<int32_t>(rng.NextInRange(-24, h)),
+                           RandomRect(&rng, w, h, 16));
+          break;
+        case 4: {
+          // On screen and at least the source size: the console scales CSCS up only.
+          const int32_t dw = video.width() + static_cast<int32_t>(rng.NextBelow(40));
+          const int32_t dh = video.height() + static_cast<int32_t>(rng.NextBelow(30));
+          const Rect dst{static_cast<int32_t>(rng.NextBelow(static_cast<uint64_t>(w - dw))),
+                         static_cast<int32_t>(rng.NextBelow(static_cast<uint64_t>(h - dh))),
+                         dw, dh};
+          session.SendVideoFrame(video.Frame(step), dst,
+                                 rng.NextBool(0.5) ? CscsDepth::k16 : CscsDepth::k5);
+          expect_in_sync(step);  // the frame flushes itself
+          break;
+        }
+        case 5:
+          session.ForceRepaintAll();
+          break;
+        case 6:
+          if (!ckpt.has_value()) {
+            SessionCheckpoint captured;
+            session.CaptureCheckpoint(&captured);
+            ckpt = DecodeCheckpoint(EncodeCheckpoint(captured));
+            ASSERT_TRUE(ckpt.has_value());
+          } else {
+            // Roll back to the earlier capture; the re-attach repaints the console.
+            session.DetachConsole();
+            session.RestoreFromCheckpoint(*ckpt);
+            session.AttachConsole(console.node());
+            expect_in_sync(step);
+            ckpt.reset();
+          }
+          break;
+        default:
+          break;
+      }
+      if (rng.NextBool(0.6)) {
+        session.Flush();
+        expect_in_sync(step);
+        sim.Run();
+      }
+    }
+    session.Flush();
+    expect_in_sync(-1);
+    sim.Run();
+    EXPECT_EQ(console.commands_rejected(), 0) << "seed " << seed;
+    EXPECT_EQ(console.framebuffer().ContentHash(), session.framebuffer().ContentHash())
+        << "seed " << seed;
+  }
 }
 
 // Tracker + EncoderPool: the transmitted stream must stay identical for every thread

@@ -229,6 +229,95 @@ TEST(FramebufferTest, CopyFromOutsideBoundsReadsBlack) {
   EXPECT_EQ(fb.GetPixel(0, 0), kBlack);
 }
 
+// A framebuffer whose every pixel is distinct, so a misplaced pixel cannot go unseen.
+Framebuffer NumberedFramebuffer(int32_t w, int32_t h) {
+  Framebuffer fb(w, h);
+  for (int32_t y = 0; y < h; ++y) {
+    for (int32_t x = 0; x < w; ++x) {
+      fb.PutPixel(x, y, static_cast<Pixel>(1 + y * w + x));
+    }
+  }
+  return fb;
+}
+
+// CopyRect against a reference read entirely from a snapshot of the frame before the copy
+// (what staging through a temporary gives): overlap in every direction, sources hanging
+// off each edge (black), destinations clipped by each edge.
+TEST(FramebufferTest, CopyRectMatchesStagedReference) {
+  const int32_t w = 37, h = 29;
+  const auto expect_copy = [&](int32_t sx, int32_t sy, const Rect& dst) {
+    Framebuffer fb = NumberedFramebuffer(w, h);
+    const Framebuffer before = fb;
+    fb.CopyRect(sx, sy, dst);
+    for (int32_t y = 0; y < h; ++y) {
+      for (int32_t x = 0; x < w; ++x) {
+        const Pixel want = dst.Contains(Point{x, y})
+                               ? before.GetPixel(sx + x - dst.x, sy + y - dst.y)
+                               : before.GetPixel(x, y);
+        ASSERT_EQ(fb.GetPixel(x, y), want)
+            << "(" << x << "," << y << ") src (" << sx << "," << sy << ") dst "
+            << dst.ToString();
+      }
+    }
+  };
+  expect_copy(4, 2, Rect{4, 7, 20, 15});     // down, overlapping
+  expect_copy(4, 9, Rect{4, 3, 20, 15});     // up, overlapping
+  expect_copy(3, 3, Rect{6, 8, 20, 15});     // diagonal, down-right
+  expect_copy(9, 10, Rect{5, 4, 20, 15});    // diagonal, up-left
+  expect_copy(2, 5, Rect{7, 5, 25, 1});      // same row, right
+  expect_copy(-5, 4, Rect{3, 4, 12, 10});    // source off the left edge
+  expect_copy(30, -3, Rect{1, 1, 12, 10});   // source off the top and right edges
+  expect_copy(8, 24, Rect{8, 20, 10, 9});    // source off the bottom, overlapping
+  expect_copy(2, 2, Rect{-4, -3, 15, 12});   // destination clipped at the top left
+  expect_copy(0, 0, Rect{30, 22, 15, 12});   // destination clipped at the bottom right
+  Rng rng(17);
+  for (int i = 0; i < 300; ++i) {
+    const Rect dst{static_cast<int32_t>(rng.NextInRange(-10, w)),
+                   static_cast<int32_t>(rng.NextInRange(-10, h)),
+                   1 + static_cast<int32_t>(rng.NextBelow(w)),
+                   1 + static_cast<int32_t>(rng.NextBelow(h))};
+    expect_copy(static_cast<int32_t>(rng.NextInRange(-10, w)),
+                static_cast<int32_t>(rng.NextInRange(-10, h)), dst);
+  }
+}
+
+// ExpandBitmap against a per-pixel reference, for every width 1-17 at x offsets that are
+// not byte aligned, clipped at the left (negative x), right and bottom edges.
+TEST(FramebufferTest, ExpandBitmapMatchesPerPixelReferenceWhenClipped) {
+  const int32_t fw = 40, fh = 20;
+  const Pixel fg = MakePixel(250, 10, 10);
+  const Pixel bg = MakePixel(10, 10, 250);
+  Rng rng(23);
+  for (int32_t bw = 1; bw <= 17; ++bw) {
+    const int32_t bh = 5;
+    const size_t stride = (static_cast<size_t>(bw) + 7) / 8;
+    std::vector<uint8_t> bits(stride * bh);
+    for (uint8_t& byte : bits) {
+      byte = static_cast<uint8_t>(rng.NextU64());
+    }
+    for (const int32_t x : {-13, -9, -3, -1, 0, 3, 5, 11, fw - bw + 1, fw - 5, fw - 1}) {
+      for (const int32_t y : {-2, 0, 7, fh - 3}) {
+        const Rect r{x, y, bw, bh};
+        Framebuffer fb = NumberedFramebuffer(fw, fh);
+        const Framebuffer before = fb;
+        fb.ExpandBitmap(r, bits, fg, bg);
+        for (int32_t py = 0; py < fh; ++py) {
+          for (int32_t px = 0; px < fw; ++px) {
+            Pixel want = before.GetPixel(px, py);
+            if (r.Contains(Point{px, py})) {
+              const int32_t b = px - r.x;
+              const uint8_t byte = bits[static_cast<size_t>(py - r.y) * stride + (b >> 3)];
+              want = (byte >> (7 - (b & 7))) & 1 ? fg : bg;
+            }
+            ASSERT_EQ(fb.GetPixel(px, py), want)
+                << "(" << px << "," << py << ") bitmap " << r.ToString();
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(FramebufferTest, ContentHashIsRowHashOfAllPixels) {
   Framebuffer fb(13, 7);
   Rng rng(5);
